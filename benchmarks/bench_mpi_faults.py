@@ -19,7 +19,7 @@ from repro.experiments import (
     run_full_evaluation,
 )
 from repro.experiments import cache
-from repro.faults import Campaign, MpiCampaign
+from repro.faults import Campaign
 from repro.workloads import get_workload
 
 from conftest import one_shot
@@ -45,7 +45,7 @@ def _compute(scale):
         budget_factor=workload.budget_factor,
     ).run(trials, seed=123)
     job = workload.make_job(RANKS, 1, module=variant.module)
-    parallel = MpiCampaign(
+    parallel = Campaign(
         job, verifier=workload.verifier(), budget_factor=workload.budget_factor
     ).run(trials, seed=123)
     result = {

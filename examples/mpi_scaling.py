@@ -15,7 +15,7 @@ Run:  IPAS_SCALE=quick python examples/mpi_scaling.py
 import random
 
 from repro.core import ExperimentScale, IpasPipeline
-from repro.faults import Campaign
+from repro.faults import Campaign, FaultSite
 from repro.parallel import MpiJob
 from repro.workloads import get_workload
 
@@ -60,7 +60,9 @@ def main() -> None:
             for u in inst.users
         )
     )
-    result = protected_job.run(injection=((target, 2, 62), 1))
+    result = protected_job.run(
+        injection=FaultSite(target, 2, 62, rank=1).as_injection()
+    )
     print(f"  job status: {result.status}")
     print(f"  per-rank:   {result.statuses}")
 

@@ -30,7 +30,6 @@ from .outcomes import (
     soc_reduction_percent,
 )
 from .campaign import Campaign, CampaignResult, OutputVerifier, TrialRecord
-from .mpi_campaign import MpiCampaign, MpiCampaignResult, MpiTrialRecord
 from .sanitizer import (
     CoverageViolation,
     module_is_protected,
@@ -78,7 +77,6 @@ __all__ = [
     "Outcome", "OutcomeCounts", "margin_of_error", "parse_outcome",
     "soc_reduction_percent",
     "Campaign", "CampaignResult", "OutputVerifier", "TrialRecord",
-    "MpiCampaign", "MpiCampaignResult", "MpiTrialRecord",
     "CoverageViolation", "module_is_protected", "sanitize_records",
     "sanitizer_enabled",
     "CampaignCheckpoint", "CampaignStats", "campaign_fingerprint",

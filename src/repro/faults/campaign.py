@@ -1,16 +1,19 @@
 """Statistical fault injection campaigns (paper §4.1 and §5.4).
 
-A :class:`Campaign` wraps one interpreter (one program + input) and drives
-many single-fault runs:
+A :class:`Campaign` wraps one interpreter (one program + input) — or one
+:class:`~repro.parallel.mpi.MpiJob`, whose ranks each count as one
+process — and drives many single-fault runs:
 
 1. a *golden* (fault-free) profiled run establishes per-instruction dynamic
    execution counts, the cycle baseline, and the reference outputs;
 2. each trial samples a fault site uniformly over the *dynamic* stream of
-   injectable instruction executions (weighted by execution count, as FlipIt
-   does when injecting into random instruction instances), plus a uniform
-   random bit of the result;
-3. the run's outcome is classified per §5.5 using the interpreter status and
-   the workload's verification routine.
+   injectable instruction executions across all ranks (weighted by
+   execution count, as FlipIt does when injecting into random instruction
+   instances and MPI ranks), plus a uniform random bit of the result;
+3. the run's outcome is classified per §5.5 using the interpreter (or
+   job-level) status and the workload's verification routine.  In a job,
+   one rank's detection or crash aborts the whole job (§4.4.1), and
+   rank 0's outputs are verified.
 
 Determinism: a campaign with the same seed replays identically — for any
 ``n_jobs``, because the trial list is pre-sampled serially before execution
@@ -25,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..interp.interpreter import Interpreter, RunResult
 from ..ir.module import Module
+from ..parallel.mpi import JobResult, MpiJob
 from ..recover.runtime import RecoveryPolicy, RecoveryTelemetry
 from ..recover.warm import WarmStart
 from .model import FaultSite, injectable_instructions, is_injectable, result_bits
@@ -130,6 +134,8 @@ class TrialRecord:
             data["failure"] = self.failure.as_dict()
         if self.recovery is not None:
             data["recovery"] = self.recovery.as_dict()
+        if self.site.rank:
+            data["rank"] = self.site.rank
         return data
 
     @classmethod
@@ -148,7 +154,7 @@ class TrialRecord:
                 f"site {data['site_index']} is {inst.opcode!r}, "
                 f"record says {data['opcode']!r}: module mismatch"
             )
-        site = FaultSite(inst, data["occurrence"], data["bit"])
+        site = FaultSite(inst, data["occurrence"], data["bit"], data.get("rank", 0))
         failure = None
         if data.get("failure"):
             from .supervisor import TrialFailure
@@ -198,7 +204,7 @@ class CampaignResult:
 
 
 class Campaign:
-    """Statistical fault injection against one interpreter instance."""
+    """Statistical fault injection against one interpreter or MPI job."""
 
     #: default ladder density: auto stride targets about this many rungs.
     #: Dense ladders pay off twice — shorter restored prefixes *and* more
@@ -208,7 +214,7 @@ class Campaign:
 
     def __init__(
         self,
-        interp: Interpreter,
+        target: Union[Interpreter, MpiJob],
         verifier: Optional[OutputVerifier] = None,
         entry: str = "main",
         budget_factor: float = 20.0,
@@ -217,7 +223,21 @@ class Campaign:
         snapshot_stride: Optional[int] = None,
         fault_model=None,
     ):
-        self.interp = interp
+        if isinstance(target, MpiJob):
+            if warm_start:
+                # Rank threads rendezvous inside collectives, so a ladder
+                # captured on one rank is meaningless to the others.
+                raise ValueError(
+                    "warm-start snapshot ladders are single-process only: "
+                    f"pass an Interpreter, not a {target.n_ranks}-rank MpiJob"
+                )
+            #: the MpiJob a multi-rank campaign runs (None: one process)
+            self.job: Optional[MpiJob] = target
+            #: the interpreter whose outputs are verified (a job's rank 0)
+            self.interp = target.interpreters[0]
+        else:
+            self.job = None
+            self.interp = target
         self.verifier = verifier or OutputVerifier()
         self.entry = entry
         self.budget_factor = budget_factor
@@ -237,41 +257,58 @@ class Campaign:
         self._golden_cycles: Optional[int] = None
         self._golden_capture = None
         self._ladder = None
-        self._sites: List = []  # (instruction, dynamic_count)
+        self._sites: List = []  # (rank, instruction, dynamic_count)
+        self._site_index: Dict[Tuple[int, int], int] = {}
         self._cumulative: List[int] = []
         self._total_weight = 0
+
+    def _run(self, warm=None, **kwargs) -> Union[RunResult, JobResult]:
+        """One execution of the target from its entry point (jobs are
+        never warm: the constructor refuses warm start for them)."""
+        if self.job is not None:
+            return self.job.run(self.entry, recovery=self.recovery, **kwargs)
+        return self.interp.run(self.entry, recovery=self.recovery, warm=warm, **kwargs)
 
     # -- golden run --------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Run the golden profiled execution and index the fault space."""
+        """Run the golden profiled execution and index the fault space:
+        one (rank, instruction, dynamic count) entry per executed site,
+        rank-major, from each rank's own profile."""
         if self._golden_cycles is not None:
             return
-        result = self.interp.run(self.entry, profile=True, recovery=self.recovery)
+        result = self._run(profile=True)
         if result.status != "ok":
             raise RuntimeError(
                 f"golden run failed ({result.status}): {result.error}"
             )
         self._golden_cycles = result.cycles
         self._golden_capture = self.verifier.capture(self.interp)
-        assert result.profile is not None
         cm = self.interp.cm
+        eligible = injectable_instructions(self.interp.module)
+        rank_results = result.rank_results if self.job is not None else [result]
         cumulative: List[int] = []
         total = 0
         sites = []
-        for inst in injectable_instructions(self.interp.module):
-            gid = cm.block_gids.get(id(inst.parent))
-            if gid is None:
-                continue
-            count = result.profile[gid]
-            if count <= 0:
-                continue
-            sites.append((inst, count))
-            total += count
-            cumulative.append(total)
+        for rank, rank_result in enumerate(rank_results):
+            profile = rank_result.profile
+            assert profile is not None
+            for inst in eligible:
+                gid = cm.block_gids.get(id(inst.parent))
+                if gid is None:
+                    continue
+                count = profile[gid]
+                if count <= 0:
+                    continue
+                sites.append((rank, inst, count))
+                total += count
+                cumulative.append(total)
         if not sites:
             raise RuntimeError("program executed no injectable instructions")
         self._sites = sites
+        self._site_index = {
+            (rank, id(inst)): k for k, (rank, inst, _count) in enumerate(sites)
+        }
         self._cumulative = cumulative
         self._total_weight = total
 
@@ -329,14 +366,20 @@ class Campaign:
     # -- sampling -------------------------------------------------------------------
 
     def sample_site(self, rng: random.Random) -> FaultSite:
-        """One fault site, uniform over dynamic injectable executions."""
+        """One fault site, uniform over all ranks' dynamic injectable
+        executions."""
         self.prepare()
         pick = rng.randrange(self._total_weight)
         index = bisect.bisect_right(self._cumulative, pick)
-        inst, count = self._sites[index]
+        rank, inst, count = self._sites[index]
         occurrence = rng.randint(1, count)
         bit = rng.randrange(result_bits(inst))
-        return FaultSite(inst, occurrence, bit)
+        return FaultSite(inst, occurrence, bit, rank)
+
+    def site_index(self, site: FaultSite) -> int:
+        """``site``'s index in the fault population — the ``site_index``
+        of its checkpoint and wire entries."""
+        return self._site_index[(site.rank, id(site.instruction))]
 
     def fingerprint(self, n_trials: int, seed: int = 0) -> str:
         """Stable identity of this campaign's trial plan — the checkpoint
@@ -387,11 +430,9 @@ class Campaign:
                 # so their tails can never rendezvous with the golden run.
                 resync=self.recovery is None and not model.multi_shot,
             )
-        result = self.interp.run(
-            self.entry,
+        result = self._run(
             injection=model.injection_for(site),
             cycle_budget=self.cycle_budget,
-            recovery=self.recovery,
             warm=warm,
         )
         outcome = self.classify(result)
@@ -411,7 +452,7 @@ class Campaign:
             warm=warm_info,
         )
 
-    def classify(self, result: RunResult) -> Outcome:
+    def classify(self, result: Union[RunResult, JobResult]) -> Outcome:
         if result.status in ("trap", "abort"):
             return Outcome.CRASH
         if result.status == "hang":

@@ -70,11 +70,14 @@ def result_bits(inst: Instruction) -> int:
 
 
 class FaultSite:
-    """One concrete fault: (static instruction, dynamic occurrence, bit)."""
+    """One concrete fault: (static instruction, dynamic occurrence, bit),
+    landing in MPI ``rank`` (always 0 for a single-process campaign)."""
 
-    __slots__ = ("instruction", "occurrence", "bit")
+    __slots__ = ("instruction", "occurrence", "bit", "rank")
 
-    def __init__(self, instruction: Instruction, occurrence: int, bit: int):
+    def __init__(
+        self, instruction: Instruction, occurrence: int, bit: int, rank: int = 0
+    ):
         if occurrence < 1:
             raise ValueError("occurrence is 1-based")
         if not 0 <= bit < result_bits(instruction):
@@ -85,14 +88,22 @@ class FaultSite:
         self.instruction = instruction
         self.occurrence = occurrence
         self.bit = bit
+        self.rank = rank
 
     def as_injection(self):
-        """The (instruction, occurrence, bit) triple the interpreter takes."""
-        return (self.instruction, self.occurrence, self.bit)
+        """The single transient bit-flip as an armed ``InjectionSpec``."""
+        from .models import MODE_ONCE, InjectionSpec, make_corrupter
+
+        bit = self.bit
+        corrupt = make_corrupter(self.instruction, lambda u, w: u ^ (1 << bit))
+        return InjectionSpec(
+            self.instruction, self.occurrence, MODE_ONCE, corrupt, rank=self.rank
+        )
 
     def __repr__(self) -> str:
         fn = self.instruction.function
+        rank = f" rank={self.rank}" if self.rank else ""
         return (
             f"<FaultSite {self.instruction.opcode} in "
-            f"{fn.name if fn else '?'} occ={self.occurrence} bit={self.bit}>"
+            f"{fn.name if fn else '?'} occ={self.occurrence} bit={self.bit}{rank}>"
         )

@@ -28,6 +28,8 @@ by pure functions of pre-sampled values, so the
 bit-identical-at-any-``n_jobs`` contract holds per model), corruption
 application, warm-start planning (``first_occurrence``), and whether the
 single-bit coverage proof applies to it (``sanitizer_covered``).
+Planned sites keep the MPI rank the campaign sampled, so every model
+applies per rank of a multi-rank job exactly as it does to one process.
 
 The CLI grammar is ``NAME[:key=value,...]`` — e.g.
 ``transient-multibit:k=3,adjacent=0`` — validated eagerly by
@@ -48,11 +50,10 @@ from .model import FaultSite, result_bits
 _M64 = (1 << 64) - 1
 
 #: Injection mode names understood by the compiled-block injector
-#: epilogue (``repro.interp.compiler``): ``1bit`` is the legacy inline
-#: flip, ``once`` fires once at the sampled occurrence through a
-#: model-supplied corrupter, ``multi`` consults a model-supplied firing
-#: predicate on every execution (multi-shot arming).
-MODE_1BIT = "1bit"
+#: epilogue (``repro.interp.compiler``): ``once`` fires once at the
+#: sampled occurrence through a model-supplied corrupter, ``multi``
+#: consults a model-supplied firing predicate on every execution
+#: (multi-shot arming).
 MODE_ONCE = "once"
 MODE_MULTI = "multi"
 
@@ -74,17 +75,18 @@ class PlannedFault(FaultSite):
         occurrence: int,
         bit: int,
         detail: Optional[dict] = None,
+        rank: int = 0,
     ):
-        super().__init__(instruction, occurrence, bit)
+        super().__init__(instruction, occurrence, bit, rank)
         self.detail = detail or {}
 
 
 class InjectionSpec:
-    """A non-default model's armed injection, consumed by
-    ``Interpreter.run``.  The legacy ``(instruction, occurrence, bit)``
-    triple remains the ``transient-1bit`` fast path."""
+    """One armed injection, consumed by ``Interpreter.run`` (and, for
+    the rank it names, by ``MpiJob.run``).  Every fault model — the
+    default single-bit flip included — arms its trials this way."""
 
-    __slots__ = ("instruction", "occurrence", "mode", "corrupt", "fire")
+    __slots__ = ("instruction", "occurrence", "mode", "corrupt", "fire", "rank")
 
     def __init__(
         self,
@@ -93,12 +95,14 @@ class InjectionSpec:
         mode: str,
         corrupt: Callable,
         fire: Optional[Callable] = None,
+        rank: int = 0,
     ):
         self.instruction = instruction
         self.occurrence = occurrence
         self.mode = mode
         self.corrupt = corrupt
         self.fire = fire
+        self.rank = rank
 
 
 # -- register-representation corruption helpers -------------------------------
@@ -129,8 +133,7 @@ def make_corrupter(inst: Instruction, op: Callable[[int, int], int]) -> Callable
     ``op`` maps ``(unsigned_representation, width) -> new representation``
     and is applied to the IEEE-754 image for floats, the two's-complement
     image for integers (re-signed on the way out), and the raw 64-bit
-    image for pointers — the same representations the legacy flip helpers
-    in ``repro.interp.compiler`` use.
+    image for pointers.
     """
     t = inst.type
     if t.is_float():
@@ -260,7 +263,7 @@ class Transient1Bit(FaultModel):
         return campaign.sample_site(rng)
 
     def injection_for(self, site: FaultSite):
-        return site.as_injection()  # the interpreter's legacy fast path
+        return site.as_injection()
 
 
 class TransientMultiBit(FaultModel):
@@ -286,7 +289,7 @@ class TransientMultiBit(FaultModel):
             bits = tuple(sorted(rng.sample(range(width), n)))
             primary = bits[0]
         return PlannedFault(
-            base.instruction, base.occurrence, primary, {"bits": bits}
+            base.instruction, base.occurrence, primary, {"bits": bits}, rank=base.rank
         )
 
     def injection_for(self, site: PlannedFault):
@@ -294,7 +297,9 @@ class TransientMultiBit(FaultModel):
         for bit in site.detail["bits"]:
             mask |= 1 << bit
         corrupt = make_corrupter(site.instruction, lambda u, w: u ^ mask)
-        return InjectionSpec(site.instruction, site.occurrence, MODE_ONCE, corrupt)
+        return InjectionSpec(
+            site.instruction, site.occurrence, MODE_ONCE, corrupt, rank=site.rank
+        )
 
 
 class PatternFault(FaultModel):
@@ -327,7 +332,9 @@ class PatternFault(FaultModel):
         else:  # max: all-ones representation
             op = lambda u, w: (1 << w) - 1
         corrupt = make_corrupter(site.instruction, op)
-        return InjectionSpec(site.instruction, site.occurrence, MODE_ONCE, corrupt)
+        return InjectionSpec(
+            site.instruction, site.occurrence, MODE_ONCE, corrupt, rank=site.rank
+        )
 
 
 class Intermittent(FaultModel):
@@ -359,7 +366,9 @@ class Intermittent(FaultModel):
     def sample_site(self, campaign, rng) -> PlannedFault:
         base = campaign.sample_site(rng)
         salt = rng.getrandbits(32)
-        return PlannedFault(base.instruction, base.occurrence, base.bit, {"salt": salt})
+        return PlannedFault(
+            base.instruction, base.occurrence, base.bit, {"salt": salt}, rank=base.rank
+        )
 
     def injection_for(self, site: PlannedFault):
         start, end = site.occurrence, site.occurrence + self.window
@@ -374,7 +383,7 @@ class Intermittent(FaultModel):
 
         corrupt = make_corrupter(site.instruction, lambda u, w: u ^ (1 << bit))
         return InjectionSpec(
-            site.instruction, site.occurrence, MODE_MULTI, corrupt, fire
+            site.instruction, site.occurrence, MODE_MULTI, corrupt, fire, rank=site.rank
         )
 
 
@@ -390,13 +399,13 @@ class Persistent(FaultModel):
         # A defect corrupts the instruction from its first execution on;
         # the sampled occurrence is irrelevant, so pin it to 1 (which also
         # pins warm-start planning to a cold fallback).
-        return PlannedFault(base.instruction, 1, base.bit)
+        return PlannedFault(base.instruction, 1, base.bit, rank=base.rank)
 
     def injection_for(self, site: PlannedFault):
         bit = site.bit
         corrupt = make_corrupter(site.instruction, lambda u, w: u ^ (1 << bit))
         return InjectionSpec(
-            site.instruction, 1, MODE_MULTI, corrupt, lambda k: True
+            site.instruction, 1, MODE_MULTI, corrupt, lambda k: True, rank=site.rank
         )
 
     def first_occurrence(self, site: FaultSite) -> int:

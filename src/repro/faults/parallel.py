@@ -53,7 +53,7 @@ import sys
 import time
 import warnings
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.registry import LATENCY_BUCKETS_MS, MetricsRegistry
 from ..recover.runtime import RecoveryTelemetry
@@ -909,9 +909,12 @@ def campaign_fingerprint(campaign, n_trials: int, seed: int) -> str:
         # fingerprints survive byte-identical; every other model stamps its
         # full parameterised spec into the plan identity.
         h.update(f"{model.signature()}|".encode())
-    for inst, count in campaign._sites:
+    for rank, inst, count in campaign._sites:
         fn = inst.function
-        h.update(f"{fn.name if fn else '?'}:{inst.opcode}:{count};".encode())
+        # Rank 0 hashes unprefixed: single-process fingerprints are the
+        # historical ones.
+        prefix = f"{rank}/" if rank else ""
+        h.update(f"{prefix}{fn.name if fn else '?'}:{inst.opcode}:{count};".encode())
     return h.hexdigest()[:16]
 
 
@@ -989,9 +992,6 @@ def run_campaign(
         registry=obs.registry if obs is not None else None,
     )
     records: List[Optional[TrialRecord]] = [None] * n_trials
-    site_index_of = {
-        id(inst): k for k, (inst, _count) in enumerate(campaign._sites)
-    }
 
     checkpoint = None
     if checkpoint_path:
@@ -1012,9 +1012,7 @@ def run_campaign(
                 if records[i] is not None:
                     continue
                 site = sites[i]
-                if not entry_matches_site(
-                    entry, site, site_index_of[id(site.instruction)]
-                ):
+                if not entry_matches_site(entry, site, campaign.site_index(site)):
                     continue  # does not match the deterministic plan; re-run
                 records[i] = record_from_entry(
                     entry, site, f"checkpoint {checkpoint_path}"
@@ -1035,7 +1033,7 @@ def run_campaign(
             for i in pending
         }
         pending.sort(key=lambda i: (bucket[i], i))
-    trial_site_index = {i: site_index_of[id(sites[i].instruction)] for i in pending}
+    trial_site_index = {i: campaign.site_index(sites[i]) for i in pending}
     last_progress = [stats.started]
 
     def trace_trial(index: int, record: TrialRecord, seconds: float, wid: int) -> None:
@@ -1054,6 +1052,7 @@ def run_campaign(
                 "opcode": inst.opcode,
                 "occurrence": site.occurrence,
                 "bit": site.bit,
+                "rank": site.rank,
                 "status": record.status,
                 "cycles": record.cycles,
             },
@@ -1189,36 +1188,3 @@ def run_campaign(
     result.stats = stats
     return result
 
-
-# -- generic fork-mapping (legacy helper; the MPI campaign is supervised) ------
-
-_WORKER_FN = None
-
-
-def _fn_chunk(chunk) -> List:
-    return [_WORKER_FN(item) for item in chunk]
-
-
-def fork_map(fn: Callable, items: Sequence, n_jobs: int, chunk_size: int = DEFAULT_CHUNK):
-    """Map ``fn`` over ``items`` with forked workers, yielding results in
-    completion order.  ``fn`` and ``items`` are inherited by fork, so ``fn``
-    may close over arbitrary unpicklable state; each *result* must pickle.
-    Falls back to a plain serial map when fork is unavailable or
-    ``n_jobs <= 1``.  No supervision: a worker failure propagates — use
-    :func:`repro.faults.supervisor.run_supervised` for recovery.
-    """
-    if n_jobs <= 1 or len(items) <= 1 or not fork_available():
-        for item in items:
-            yield fn(item)
-        return
-    global _WORKER_FN
-    chunks = [items[k : k + chunk_size] for k in range(0, len(items), chunk_size)]
-    ctx = multiprocessing.get_context("fork")
-    _WORKER_FN = fn
-    try:
-        with ctx.Pool(processes=min(n_jobs, len(chunks))) as pool:
-            for shard in pool.imap_unordered(_fn_chunk, chunks):
-                for result in shard:
-                    yield result
-    finally:
-        _WORKER_FN = None

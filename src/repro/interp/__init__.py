@@ -1,7 +1,7 @@
 """repro.interp — compiled IR interpreter, cost model, and trap semantics."""
 
 from .costmodel import CostModel
-from .compiler import CompiledModule, flip_f64, flip_int
+from .compiler import CompiledModule
 from .errors import (
     ArithmeticFault,
     DetectedByDuplication,
@@ -17,7 +17,7 @@ from .errors import (
 from .interpreter import Interpreter, RunResult, SerialMpi, run_module
 
 __all__ = [
-    "CostModel", "CompiledModule", "flip_f64", "flip_int",
+    "CostModel", "CompiledModule",
     "ArithmeticFault", "DetectedByDuplication", "ExecutionError",
     "HangDetected", "InterpreterBug", "MemoryFault", "MpiAbort",
     "StackOverflow", "Trap", "UnreachableExecuted",

@@ -16,8 +16,9 @@ Semantics implemented exactly:
   architecture-level symptoms of the paper's outcome taxonomy),
 * per-block cycle charging and a cycle budget (hang detection),
 * optional per-block execution profiling (used to pick dynamic fault sites),
-* optional single-bit fault injection after a chosen dynamic occurrence of a
-  chosen instruction (the FlipIt substitute's engine room).
+* optional fault injection into the result of a chosen instruction at a
+  chosen dynamic occurrence (the FlipIt substitute's engine room), through
+  a corruption closure the fault model supplies.
 
 Fault injection works by swapping in an alternative compiled version of the
 *target block only*; every other block runs at full speed.
@@ -26,7 +27,6 @@ Fault injection works by swapping in an alternative compiled version of the
 from __future__ import annotations
 
 import math
-import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.block import BasicBlock
@@ -55,42 +55,6 @@ from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .costmodel import CostModel
 from .errors import InterpreterBug
 from .runtime import EXEC_GLOBALS
-
-
-# -- bit-flip helpers (exposed to generated code via EXEC_GLOBALS) -------------
-
-def flip_int(value: int, bit: int, bits: int) -> int:
-    """Flip one bit of a two's-complement integer of the given width."""
-    mask = (1 << bits) - 1
-    u = (value & mask) ^ (1 << (bit % bits))
-    if bits > 1 and u >= 1 << (bits - 1):
-        u -= 1 << bits
-    return u
-
-
-def flip_f64(value: float, bit: int) -> float:
-    """Flip one bit of an IEEE-754 double."""
-    try:
-        (u,) = struct.unpack("<Q", struct.pack("<d", float(value)))
-    except (OverflowError, ValueError):
-        u = 0
-    u ^= 1 << (bit % 64)
-    (result,) = struct.unpack("<d", struct.pack("<Q", u))
-    return result
-
-
-def flip_bool(value, bit: int):
-    return not value
-
-
-EXEC_GLOBALS = dict(EXEC_GLOBALS)
-EXEC_GLOBALS.update(
-    {
-        "_flip_int": flip_int,
-        "_flip_f64": flip_f64,
-        "_flip_bool": flip_bool,
-    }
-)
 
 
 class CompiledBlock:
@@ -195,13 +159,13 @@ class CompiledModule:
             raise KeyError(f"{inst!r} is not a compiled value-producing instruction") from None
 
     def injected_block_fn(
-        self, inst: Instruction, mode: str = "1bit"
+        self, inst: Instruction, mode: str = "once"
     ) -> Tuple[int, int, Callable]:
         """Compile (or fetch) the injection variant of the block holding
         ``inst``.  Returns (cfi, block_index, block_fn).  ``mode`` picks
-        the injection epilogue: ``"1bit"`` (the legacy inline flip),
-        ``"once"`` (one firing through ``state.inj_corrupt``), or
-        ``"multi"`` (multi-shot arming via ``state.inj_fire``)."""
+        the injection epilogue: ``"once"`` (one firing through
+        ``state.inj_corrupt`` at ``state.inj_occ``) or ``"multi"``
+        (multi-shot arming via ``state.inj_fire``)."""
         record = self.record_for(inst)
         cf = self.cfuncs[record.cfi]
         fn = self._compiler.compile_block(
@@ -215,7 +179,7 @@ class CompiledModule:
         bi: int,
         call_k: int,
         inject_after: Optional[Instruction] = None,
-        mode: str = "1bit",
+        mode: str = "once",
     ) -> Callable:
         """Compile (or fetch) a warm-start *resume* variant of a block.
 
@@ -317,7 +281,7 @@ class _Compiler:
         cf: CompiledFunction,
         block_index_local: int,
         inject_after: Instruction,
-        mode: str = "1bit",
+        mode: str = "once",
     ) -> Callable:
         key = (cf.index, id(inject_after), mode)
         cached = self._inject_cache.get(key)
@@ -337,7 +301,7 @@ class _Compiler:
         bi: int,
         call_k: int,
         inject_after: Optional[Instruction],
-        mode: str = "1bit",
+        mode: str = "once",
     ) -> Callable:
         """Generate the warm-start resume variant of one block.
 
@@ -414,7 +378,7 @@ class _Compiler:
         slots: Dict[int, int],
         block_index: Dict[int, int],
         inject_after: Optional[Instruction],
-        mode: str = "1bit",
+        mode: str = "once",
     ) -> Tuple[str, Callable]:
         block = cf.fn.blocks[bi]
         gid = self.cm.block_gids[id(block)]
@@ -451,7 +415,7 @@ class _Compiler:
     # -- injection epilogue -----------------------------------------------------------------
 
     def _gen_injection(
-        self, inst: Instruction, slots: Dict[int, int], emit, mode: str = "1bit"
+        self, inst: Instruction, slots: Dict[int, int], emit, mode: str = "once"
     ) -> None:
         slot = slots[id(inst)]
         emit("    state.inj_seen = _k = state.inj_seen + 1")
@@ -459,29 +423,11 @@ class _Compiler:
             # Multi-shot arming (intermittent/persistent models): a
             # model-supplied predicate decides per execution.
             emit("    if state.inj_fire(_k):")
-            emit(f"        f[{slot}] = state.inj_corrupt(f[{slot}])")
-            emit("        state.inj_hit = True")
-            return
-        if mode == "once":
-            # One firing through a model-supplied corrupter (multi-bit /
-            # pattern models); the occurrence disarm (inj_occ = 0) works
-            # exactly as for the legacy epilogue.
-            emit("    if _k == state.inj_occ:")
-            emit(f"        f[{slot}] = state.inj_corrupt(f[{slot}])")
-            emit("        state.inj_hit = True")
-            return
-        emit("    if _k == state.inj_occ:")
-        t = inst.type
-        if t.is_float():
-            emit(f"        f[{slot}] = _flip_f64(f[{slot}], state.inj_bit)")
-        elif t.is_pointer():
-            emit(f"        f[{slot}] = _flip_int(f[{slot}], state.inj_bit, 64)")
-        elif t.is_integer() and t.bits == 1:  # type: ignore[attr-defined]
-            emit(f"        f[{slot}] = _flip_bool(f[{slot}], state.inj_bit)")
         else:
-            emit(
-                f"        f[{slot}] = _flip_int(f[{slot}], state.inj_bit, {t.bits})"  # type: ignore[attr-defined]
-            )
+            # One firing at the armed occurrence; zeroing inj_occ disarms
+            # it (recovery rollbacks must not replay the corruption).
+            emit("    if _k == state.inj_occ:")
+        emit(f"        f[{slot}] = state.inj_corrupt(f[{slot}])")
         emit("        state.inj_hit = True")
 
     # -- per-instruction codegen ---------------------------------------------------------------

@@ -134,7 +134,7 @@ class Interpreter:
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
         "global_overrides", "_cells_template", "_reset_image", "cells", "sp",
         "cycles", "budget", "ret", "depth", "prof", "output_log", "inj_cfi",
-        "inj_fns", "inj_seen", "inj_occ", "inj_bit", "inj_hit", "inj_inst",
+        "inj_fns", "inj_seen", "inj_occ", "inj_hit", "inj_inst",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
         "_resume_next",
@@ -185,11 +185,10 @@ class Interpreter:
         self.inj_fns: Optional[List[Callable]] = None
         self.inj_seen = 0
         self.inj_occ = 0
-        self.inj_bit = 0
         self.inj_hit = False
         self.inj_inst = None
         self.inj_bi = -1
-        self.inj_mode = "1bit"
+        self.inj_mode = "once"
         self.inj_fire: Optional[Callable] = None
         self.inj_corrupt: Optional[Callable] = None
         #: RecoveryState while a run executes under a RecoveryPolicy
@@ -253,11 +252,10 @@ class Interpreter:
         self.inj_fns = None
         self.inj_seen = 0
         self.inj_occ = 0
-        self.inj_bit = 0
         self.inj_hit = False
         self.inj_inst = None
         self.inj_bi = -1
-        self.inj_mode = "1bit"
+        self.inj_mode = "once"
         self.inj_fire = None
         self.inj_corrupt = None
         self.rec = None
@@ -279,12 +277,13 @@ class Interpreter:
     ) -> RunResult:
         """Execute ``entry`` from a fresh state.
 
-        ``injection`` is an optional ``(instruction, occurrence, bit)``
-        triple: after the ``occurrence``-th dynamic execution of
-        ``instruction``, flip ``bit`` in its result value.  Pluggable
-        fault models pass a ``repro.faults.models.InjectionSpec``
-        instead, carrying the epilogue mode and the model's corruption
-        and firing closures.
+        ``injection`` is an optional
+        :class:`~repro.faults.models.InjectionSpec` (e.g.
+        ``FaultSite.as_injection()``): the target block counts the
+        dynamic executions of ``instruction`` and rewrites its result
+        value through the model's ``corrupt`` closure — once, at the
+        ``occurrence``-th (``mode="once"``), or at every execution
+        ``fire`` selects (``mode="multi"``).
 
         ``cycle_budget`` bounds execution (hang detection); ``None`` means
         effectively unlimited.
@@ -310,29 +309,14 @@ class Interpreter:
         if profile:
             self.prof = [0] * self.cm.total_blocks
         if injection is not None:
-            if type(injection) is tuple:
-                # The legacy transient-1bit triple: the historical fast
-                # path, byte-identical codegen and arming.
-                inst, occurrence, bit = injection
-                if occurrence < 1:
-                    raise ValueError("occurrence is 1-based")
-                cfi, bi, fn = self.cm.injected_block_fn(inst)
-                self.inj_occ = occurrence
-                self.inj_bit = bit
-            else:
-                # An InjectionSpec from a pluggable fault model
-                # (repro.faults.models): the epilogue mode and the
-                # corruption/firing closures come from the model.
-                inst = injection.instruction
-                if injection.occurrence < 1:
-                    raise ValueError("occurrence is 1-based")
-                cfi, bi, fn = self.cm.injected_block_fn(
-                    inst, mode=injection.mode
-                )
-                self.inj_occ = injection.occurrence
-                self.inj_mode = injection.mode
-                self.inj_corrupt = injection.corrupt
-                self.inj_fire = injection.fire
+            inst = injection.instruction
+            if injection.occurrence < 1:
+                raise ValueError("occurrence is 1-based")
+            cfi, bi, fn = self.cm.injected_block_fn(inst, mode=injection.mode)
+            self.inj_occ = injection.occurrence
+            self.inj_mode = injection.mode
+            self.inj_corrupt = injection.corrupt
+            self.inj_fire = injection.fire
             fns = list(self.cfuncs[cfi].block_fns)
             fns[bi] = fn
             self.inj_cfi = cfi
@@ -670,7 +654,7 @@ class Interpreter:
                     # Single-shot fault models: the corruption already
                     # happened once; the re-execution must not replay it
                     # (inj_seen restarts below inj_occ, so zeroing the
-                    # occurrence disarms both the 1bit and once epilogues).
+                    # occurrence disarms the once epilogue).
                     # Multi-shot injectors never reach this path —
                     # check_failed fail-stops instead of signalling.
                     self.inj_occ = 0

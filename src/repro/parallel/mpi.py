@@ -19,12 +19,13 @@ time is the maximum over ranks, which is how strong-scaling slowdown
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..interp.compiler import CompiledModule
 from ..interp.errors import MpiAbort
 from ..interp.interpreter import Interpreter, RunResult
 from ..ir.module import Module
+from ..recover.runtime import RecoveryTelemetry
 
 
 class _Rendezvous:
@@ -167,12 +168,44 @@ class RankMpi:
             interp.checked_store(recv_addr + i, received[i])
 
 
+def _sum_recovery(rank_results) -> Optional[RecoveryTelemetry]:
+    """Sum per-rank recovery telemetry into one job-level record."""
+    total: Optional[RecoveryTelemetry] = None
+    for rank_result in rank_results:
+        telemetry = rank_result.recovery if rank_result is not None else None
+        if telemetry is None:
+            continue
+        if total is None:
+            total = RecoveryTelemetry()
+        total.snapshots += telemetry.snapshots
+        total.rollbacks += telemetry.rollbacks
+        total.reexec_cycles += telemetry.reexec_cycles
+        total.escalations += telemetry.escalations
+        if telemetry.max_rollback_cycles > total.max_rollback_cycles:
+            total.max_rollback_cycles = telemetry.max_rollback_cycles
+        if telemetry.escalation_reason:
+            total.escalation_reason = telemetry.escalation_reason
+    return total
+
+
 class JobResult:
-    """Aggregated outcome of one SPMD run."""
+    """Aggregated outcome of one SPMD run.
+
+    Carries the :class:`RunResult` fields a fault campaign classifies
+    (``status``, ``cycles``, ``recovery``, ``resynced``), so one campaign
+    engine drives single-process and multi-rank targets alike.
+    """
+
+    #: jobs never run from a warm-start ladder (no consistent cross-rank
+    #: snapshot exists), so they never resync with the golden run
+    resynced = False
+    warm_index = -1
 
     def __init__(self, rank_results: List[Optional[RunResult]]):
         self.rank_results = rank_results
         self.statuses = [r.status if r else "abort" for r in rank_results]
+        #: every rank's rollback telemetry summed, or None without recovery
+        self.recovery = _sum_recovery(rank_results)
 
     @property
     def status(self) -> str:
@@ -192,6 +225,13 @@ class JobResult:
     def job_cycles(self) -> int:
         """Critical-path time: the slowest rank."""
         return max((r.cycles for r in self.rank_results if r is not None), default=0)
+
+    cycles = job_cycles
+
+    @property
+    def error(self) -> str:
+        """The first failing rank's error message ("" for a clean job)."""
+        return next((r.error for r in self.rank_results if r and r.error), "")
 
     def __repr__(self) -> str:
         return f"<JobResult {self.status} ranks={self.statuses}>"
@@ -228,15 +268,16 @@ class MpiJob:
         self,
         entry: str = "main",
         cycle_budget: Optional[int] = None,
-        injection: Optional[Tuple[Tuple, int]] = None,
+        injection=None,
         profile: bool = False,
         recovery=None,
     ) -> JobResult:
         """Run all ranks to completion.
 
-        ``injection`` is an optional ``((instruction, occurrence, bit),
-        rank)`` pair: the fault is injected into exactly one rank, as FlipIt
-        does when it picks a random MPI rank.  ``profile=True`` collects
+        ``injection`` is an optional
+        :class:`~repro.faults.models.InjectionSpec`: the fault is armed in
+        exactly ``injection.rank``, as FlipIt does when it picks a random
+        MPI rank.  ``profile=True`` collects
         per-rank block-execution profiles (``JobResult.rank_results[r].profile``),
         which parallel fault campaigns use to enumerate each rank's dynamic
         fault population.  ``recovery`` (a
@@ -254,8 +295,8 @@ class MpiJob:
         def worker(rank: int) -> None:
             interp = self.interpreters[rank]
             inj = None
-            if injection is not None and injection[1] == rank:
-                inj = injection[0]
+            if injection is not None and injection.rank == rank:
+                inj = injection
             result = interp.run(
                 entry, injection=inj, cycle_budget=cycle_budget, profile=profile,
                 recovery=recovery,

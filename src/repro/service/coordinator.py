@@ -283,13 +283,10 @@ class CoordinatorServer:
         seed = spec.get("seed", 0)
         job_id = campaign.fingerprint(n_trials, seed)
         sites = campaign.sample_trials(n_trials, seed)
-        index_of = {
-            id(inst): k for k, (inst, _count) in enumerate(campaign._sites)
-        }
         job = Job(job_id, spec, n_trials, seed)
         job.campaign = campaign
         job.sites = sites
-        job.site_index = [index_of[id(s.instruction)] for s in sites]
+        job.site_index = [campaign.site_index(s) for s in sites]
         job.records = [None] * n_trials
         checkpoint = CampaignCheckpoint(
             self.journal.job_path(job_id), job_id, n_trials, seed

@@ -45,11 +45,7 @@ class _JobContext:
                 f"coordinator/worker version skew"
             )
         self.sites = self.campaign.sample_trials(n_trials, seed)
-        index_of = {
-            id(inst): k
-            for k, (inst, _count) in enumerate(self.campaign._sites)
-        }
-        self.site_index = [index_of[id(s.instruction)] for s in self.sites]
+        self.site_index = [self.campaign.site_index(s) for s in self.sites]
 
 
 def run_worker(

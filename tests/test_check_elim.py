@@ -130,7 +130,7 @@ class TestPreservation:
             campaign = Campaign(Interpreter(module))
             campaign.prepare()
             results = []
-            for inst, _count in campaign._sites:
+            for _rank, inst, _count in campaign._sites:
                 bits = inst.type.bits if not inst.type.is_pointer() else 64
                 key = (
                     inst.function.name,

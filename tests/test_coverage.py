@@ -171,7 +171,7 @@ class TestExhaustiveAudit:
         campaign = Campaign(Interpreter(module))
         campaign.prepare()
         soc_verdicts = []
-        for inst, _count in campaign._sites:
+        for _rank, inst, _count in campaign._sites:
             bits = inst.type.bits if not inst.type.is_pointer() else 64
             for bit in (0, bits - 1):
                 record = campaign.run_site(FaultSite(inst, 1, bit))

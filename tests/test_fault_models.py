@@ -35,7 +35,7 @@ from repro.faults.models import (
     parse_fault_model_spec,
     validate_fault_model_spec,
 )
-from repro.faults.parallel import run_campaign
+from repro.faults.parallel import run_campaign, trial_entry
 from repro.ir import (
     ArrayType,
     F64,
@@ -612,20 +612,51 @@ class TestFaultModelEvaluation:
         assert "soc sites" in table
 
 
-# -- MPI campaign guard --------------------------------------------------------
+# -- multi-rank campaigns -----------------------------------------------------
 
 
-class TestMpiCampaignGuard:
-    def test_non_default_model_refused(self):
-        from repro.faults import MpiCampaign
+def make_mpi_campaign(model=None, ranks=2, **kwargs):
+    w = get_workload("is")
+    return Campaign(
+        w.make_job(ranks, 1),
+        verifier=w.verifier(),
+        entry=w.entry,
+        budget_factor=w.budget_factor,
+        fault_model=model,
+        **kwargs,
+    )
 
-        w = get_workload("is")
-        with pytest.raises(NotImplementedError, match="transient-1bit"):
-            MpiCampaign(w.make_job(2, 1), fault_model="persistent")
 
-    def test_default_model_accepted(self):
-        from repro.faults import MpiCampaign
+def trial_entries(campaign, result):
+    return [
+        trial_entry(i, r.site, campaign.site_index(r.site), r)
+        for i, r in enumerate(result.records)
+    ]
 
-        w = get_workload("is")
-        campaign = MpiCampaign(w.make_job(2, 1))
-        assert campaign.fault_model.name == "transient-1bit"
+
+class TestMpiCampaigns:
+    @pytest.mark.parametrize("model", list(FAULT_MODELS))
+    def test_entries_identical_across_jobs_and_resume(self, model, tmp_path):
+        campaign = make_mpi_campaign(model)
+        serial = trial_entries(campaign, campaign.run(12, seed=4, n_jobs=1))
+        sharded = trial_entries(campaign, campaign.run(12, seed=4, n_jobs=2))
+        assert {site.rank for site in campaign.sample_trials(12, seed=4)} == {0, 1}
+
+        path = str(tmp_path / "ckpt.jsonl")
+
+        def interrupt(i, record):
+            if i == 4:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            make_mpi_campaign(model).run(
+                12, seed=4, n_jobs=1, checkpoint_path=path, on_trial=interrupt
+            )
+        fresh = make_mpi_campaign(model)
+        result = fresh.run(12, seed=4, n_jobs=2, checkpoint_path=path)
+        assert result.stats.resumed >= 1
+        assert serial == sharded == trial_entries(fresh, result)
+
+    def test_warm_start_refused_for_multi_rank_jobs(self):
+        with pytest.raises(ValueError, match="single-process"):
+            make_mpi_campaign(warm_start=True)

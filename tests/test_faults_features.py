@@ -105,7 +105,12 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultSite(add, 1, 64)  # bit out of range
         site = FaultSite(add, 1, 63)
-        assert site.as_injection() == (add, 1, 63)
+        spec = site.as_injection()
+        assert (spec.instruction, spec.occurrence, spec.mode, spec.rank) == (
+            add, 1, "once", 0
+        )
+        assert spec.fire is None
+        assert spec.corrupt(3) == 3 - 2**63  # bit 63 of an i64 is the sign
 
 
 class TestOutcomes:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import compile_source
+from repro.faults import FaultSite
 from repro.interp import Interpreter, run_module
 from repro.ir import (
     ArrayType,
@@ -156,8 +157,10 @@ class TestInjectionValidation:
         module = compile_source("int main() { return 1 + 2; }", optimize=False)
         inst = next(i for i in module.instructions() if i.opcode == "add")
         interp = Interpreter(module)
+        spec = FaultSite(inst, 1, 3).as_injection()
+        spec.occurrence = 0
         with pytest.raises(ValueError, match="1-based"):
-            interp.run(injection=(inst, 0, 3))
+            interp.run(injection=spec)
 
     def test_injection_into_uncompiled_instruction_rejected(self):
         from repro.ir import BinaryOperator
@@ -166,7 +169,7 @@ class TestInjectionValidation:
         interp = Interpreter(module)
         dangling = BinaryOperator("add", const_int(1), const_int(2))
         with pytest.raises(KeyError):
-            interp.run(injection=(dangling, 1, 0))
+            interp.run(injection=FaultSite(dangling, 1, 0).as_injection())
 
     def test_missing_entry_function(self):
         module = compile_source("int main() { return 1; }")

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro import compile_source
-from repro.faults import Campaign, MpiCampaign, campaign_fingerprint
+from repro.faults import Campaign, campaign_fingerprint
 from repro.interp import Interpreter
 from repro.obs import (
     BlockProfiler,
@@ -177,7 +177,7 @@ class TestCampaignMergeDeterminism:
         snapshots = []
         for n_jobs in (1, 2):
             job = workload.make_job(2, 1)
-            campaign = MpiCampaign(
+            campaign = Campaign(
                 job, verifier=workload.verifier(),
                 budget_factor=workload.budget_factor,
             )

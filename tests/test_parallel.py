@@ -3,6 +3,7 @@
 import pytest
 
 from repro import compile_source
+from repro.faults import FaultSite
 from repro.parallel import MpiJob
 
 ALLREDUCE = """
@@ -156,7 +157,7 @@ class TestTimingAndFailure:
         job = MpiJob(module, 2, collective_timeout=5.0)
         clean = job.run()
         assert clean.status == "ok"
-        faulty = job.run(injection=((target, 1, 62), 1))
+        faulty = job.run(injection=FaultSite(target, 1, 62, rank=1).as_injection())
         # The corrupted value feeds the allreduce; job completes with a
         # wrong answer or rank 1 dies -- either way rank 0's total differs
         # or the job aborted.

@@ -18,11 +18,9 @@ from repro.faults import (
     Outcome,
     TrialRecord,
     campaign_fingerprint,
-    fork_available,
     injectable_instructions,
     resolve_jobs,
 )
-from repro.faults.parallel import fork_map
 from repro.interp import Interpreter
 
 KERNEL = """
@@ -225,15 +223,30 @@ class TestStats:
         assert "trials/s" in stats.progress_line()
 
 
-class TestForkMap:
-    def test_serial_fallback_preserves_order(self):
-        out = list(fork_map(lambda x: x * x, [1, 2, 3, 4], n_jobs=1))
-        assert out == [1, 4, 9, 16]
+class TestSingleProcessPins:
+    """Literal pins of one transient-1bit campaign's identity on disk:
+    the fingerprint (checkpoint resume key and service job id) and the
+    first sealed trial line must never drift across engine refactors."""
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_parallel_same_results(self):
-        out = list(fork_map(lambda x: x * x, list(range(20)), n_jobs=3, chunk_size=4))
-        assert sorted(out) == [x * x for x in range(20)]
+    def test_hpccg_fingerprint_and_first_checkpoint_line(self, tmp_path):
+        from repro.workloads import get_workload
+
+        workload = get_workload("hpccg")
+        campaign = Campaign(
+            workload.make_interpreter(1),
+            verifier=workload.verifier(),
+            entry=workload.entry,
+            budget_factor=workload.budget_factor,
+        )
+        assert campaign_fingerprint(campaign, 16, 0) == "b2bc98cbcf294ebd"
+        path = tmp_path / "hpccg.ckpt"
+        campaign.run(16, seed=0, n_jobs=1, checkpoint_path=str(path))
+        lines = path.read_text().splitlines()
+        assert lines[1] == (
+            '{"i": 0, "site_index": 50, "occurrence": 3446, "bit": 5, '
+            '"outcome": "masked", "status": "ok", "cycles": 537649, '
+            '"crc": 2573026004}'
+        )
 
 
 class TestCacheKeys:

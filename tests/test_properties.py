@@ -16,9 +16,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro import compile_source
-from repro.interp import Interpreter, flip_f64, flip_int, run_module
+from repro.faults import make_corrupter
+from repro.interp import Interpreter, run_module
 from repro.ir import (
     BinaryOperator,
+    I32,
     I64,
     IRBuilder,
     Module,
@@ -119,20 +121,29 @@ class TestFoldInterpreterAgreement:
         assert I64_MIN <= result.value <= I64_MAX
 
 
+def bit_flip(opcode: str, operand, bit: int):
+    """The transient single-bit flip of an ``opcode`` result, as the
+    fault models build it."""
+    inst = BinaryOperator(opcode, operand, operand)
+    return make_corrupter(inst, lambda u, w: u ^ (1 << bit))
+
+
 class TestBitFlips:
     @settings(max_examples=80, deadline=None)
     @given(i64s, st.integers(min_value=0, max_value=63))
     def test_int_flip_is_involution(self, value, bit):
-        once = flip_int(value, bit, 64)
+        flip = bit_flip("add", const_int(0), bit)
+        once = flip(value)
         assert once != value
-        assert flip_int(once, bit, 64) == value
+        assert flip(once) == value
         assert I64_MIN <= once <= I64_MAX
 
     @settings(max_examples=80, deadline=None)
     @given(finite_floats, st.integers(min_value=0, max_value=63))
     def test_f64_flip_is_involution(self, value, bit):
-        once = flip_f64(value, bit)
-        twice = flip_f64(once, bit)
+        flip = bit_flip("fadd", const_float(0.0), bit)
+        once = flip(value)
+        twice = flip(once)
         # Compare as bit patterns (NaN-safe).
         import struct
 
@@ -143,7 +154,8 @@ class TestBitFlips:
     @given(st.integers(min_value=-(2**31), max_value=2**31 - 1),
            st.integers(min_value=0, max_value=31))
     def test_i32_flip_stays_in_range(self, value, bit):
-        once = flip_int(value, bit, 32)
+        once = bit_flip("add", const_int(0, I32), bit)(value)
+        assert once != value
         assert -(2**31) <= once <= 2**31 - 1
 
 

@@ -131,7 +131,7 @@ class TestFaultDetection:
             for i in norm.instructions()
             if i.opcode == "fmul" and not i.name.endswith(".dup")
         )
-        result = interp.run(injection=(target, 2, 60))
+        result = interp.run(injection=FaultSite(target, 2, 60).as_injection())
         assert result.status == "detected"
 
     def test_detection_close_to_occurrence(self):
@@ -145,7 +145,7 @@ class TestFaultDetection:
             if i.opcode == "fadd" and not i.name.endswith(".dup")
         )
         clean_cycles = interp.run().cycles
-        result = interp.run(injection=(target, 1, 55))
+        result = interp.run(injection=FaultSite(target, 1, 55).as_injection())
         assert result.status == "detected"
         assert result.cycles < clean_cycles  # aborted early
 

@@ -301,13 +301,12 @@ class TestDetectionContext:
 
 class TestMpiRecovery:
     def test_job_level_corrections(self):
-        from repro.faults import MpiCampaign
         from repro.workloads import get_workload
 
         workload = get_workload("is")
         module = workload.compile()
         duplicate_instructions(module, FullDuplicationSelector().select(module))
-        campaign = MpiCampaign(
+        campaign = Campaign(
             workload.make_job(3, 1, module=module),
             verifier=workload.verifier(),
             budget_factor=workload.budget_factor,

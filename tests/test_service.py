@@ -71,9 +71,8 @@ def baseline_entries():
     """The cold in-process campaign, as canonical wire entries."""
     campaign = Campaign(Interpreter(compile_source(KERNEL, name="kernel")))
     result = campaign.run(N_TRIALS, seed=SEED)
-    index_of = {id(inst): k for k, (inst, _c) in enumerate(campaign._sites)}
     return [
-        trial_entry(i, r.site, index_of[id(r.site.instruction)], r)
+        trial_entry(i, r.site, campaign.site_index(r.site), r)
         for i, r in enumerate(result.records)
     ]
 
