@@ -69,13 +69,7 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_supervision(args):
-    """A SupervisorPolicy when any knob was given, else None (env defaults)."""
-    if (
-        args.trial_timeout is None
-        and args.max_retries is None
-        and args.on_worker_failure is None
-    ):
-        return None
+    """The SupervisorPolicy the flags select, env defaults underneath."""
     from .faults import SupervisorPolicy
 
     return SupervisorPolicy.resolve(
@@ -243,9 +237,7 @@ def cmd_inject(args) -> int:
         n_jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         progress=args.progress,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        on_worker_failure=args.on_worker_failure,
+        supervision=_resolve_supervision(args),
         chaos=chaos,
         obs=obs,
     )

@@ -42,6 +42,7 @@ from .parallel import (
     CheckpointError,
     CheckpointMismatchError,
     CheckpointWarning,
+    TrialLedger,
     campaign_fingerprint,
     entry_matches_site,
     fork_available,
@@ -81,6 +82,7 @@ __all__ = [
     "sanitizer_enabled",
     "CampaignCheckpoint", "CampaignStats", "campaign_fingerprint",
     "CheckpointError", "CheckpointMismatchError", "CheckpointWarning",
+    "TrialLedger",
     "entry_matches_site", "record_from_entry", "trial_entry",
     "fork_available", "resolve_jobs", "run_campaign", "verify_checkpoint",
     "PoolCollapse", "SupervisorPolicy", "TrialFailure",

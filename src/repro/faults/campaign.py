@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..interp.interpreter import Interpreter, RunResult
-from ..ir.module import Module
 from ..parallel.mpi import JobResult, MpiJob
 from ..recover.runtime import RecoveryPolicy, RecoveryTelemetry
 from ..recover.warm import WarmStart
-from .model import FaultSite, injectable_instructions, is_injectable, result_bits
+from .model import FaultSite, injectable_instructions, result_bits
 from .models import get_fault_model
-from .outcomes import Outcome, OutcomeCounts, parse_outcome
+from .outcomes import Outcome, OutcomeCounts
 
 
 class OutputVerifier:
@@ -70,8 +69,8 @@ class TrialRecord:
     ``warm`` is transient execution metadata from warm-start campaigns —
     a ``(rung_index, resynced, prefix_cycles_saved)`` triple, or ``None``
     for cold trials.  It describes *how* the trial ran, not what happened,
-    so it is deliberately excluded from ``to_dict``/checkpoints: warm and
-    cold campaigns produce byte-identical records on disk.
+    so it is deliberately excluded from trial entries and checkpoints:
+    warm and cold campaigns produce byte-identical records on disk.
     """
 
     __slots__ = (
@@ -99,81 +98,6 @@ class TrialRecord:
     @property
     def instruction(self):
         return self.site.instruction
-
-    def to_dict(self, site_index: Optional[int] = None) -> Dict:
-        """JSON-compatible form (checkpoints, training-data export).
-
-        The fault site is identified by its index into the module's stable
-        ``injectable_instructions`` order; pass ``site_index`` when the
-        caller has it precomputed (per-record lookup scans the module).
-        """
-        inst = self.site.instruction
-        if site_index is None:
-            fn = inst.function
-            module = fn.parent if fn is not None else None
-            if module is None:
-                raise ValueError(f"{inst!r} is not attached to a module")
-            for i, candidate in enumerate(injectable_instructions(module)):
-                if candidate is inst:
-                    site_index = i
-                    break
-            else:
-                raise ValueError(f"{inst!r} is not an injectable instruction")
-        fn = inst.function
-        data = {
-            "site_index": site_index,
-            "opcode": inst.opcode,
-            "function": fn.name if fn else None,
-            "occurrence": self.site.occurrence,
-            "bit": self.site.bit,
-            "outcome": self.outcome.value,
-            "status": self.status,
-            "cycles": self.cycles,
-        }
-        if self.failure is not None:
-            data["failure"] = self.failure.as_dict()
-        if self.recovery is not None:
-            data["recovery"] = self.recovery.as_dict()
-        if self.site.rank:
-            data["rank"] = self.site.rank
-        return data
-
-    @classmethod
-    def from_dict(
-        cls, data: Dict, module_or_sites: Union[Module, Sequence]
-    ) -> "TrialRecord":
-        """Rebuild a record against a module (or a precomputed
-        ``injectable_instructions`` list, for bulk restoration)."""
-        if isinstance(module_or_sites, Module):
-            eligible = injectable_instructions(module_or_sites)
-        else:
-            eligible = module_or_sites
-        inst = eligible[data["site_index"]]
-        if inst.opcode != data["opcode"]:
-            raise ValueError(
-                f"site {data['site_index']} is {inst.opcode!r}, "
-                f"record says {data['opcode']!r}: module mismatch"
-            )
-        site = FaultSite(inst, data["occurrence"], data["bit"], data.get("rank", 0))
-        failure = None
-        if data.get("failure"):
-            from .supervisor import TrialFailure
-
-            failure = TrialFailure.from_dict(data["failure"])
-        recovery = None
-        if data.get("recovery"):
-            recovery = RecoveryTelemetry.from_dict(data["recovery"])
-        outcome = parse_outcome(
-            data.get("outcome"), f"trial record for site {data['site_index']}"
-        )
-        return cls(
-            site,
-            outcome,
-            data["status"],
-            data["cycles"],
-            failure=failure,
-            recovery=recovery,
-        )
 
     def __repr__(self) -> str:
         return f"<TrialRecord {self.outcome.value} at {self.site!r}>"
@@ -381,14 +305,6 @@ class Campaign:
         of its checkpoint and wire entries."""
         return self._site_index[(site.rank, id(site.instruction))]
 
-    def fingerprint(self, n_trials: int, seed: int = 0) -> str:
-        """Stable identity of this campaign's trial plan — the checkpoint
-        resume key and the service job id (see
-        :func:`repro.faults.parallel.campaign_fingerprint`)."""
-        from .parallel import campaign_fingerprint
-
-        return campaign_fingerprint(self, n_trials, seed)
-
     def sample_trials(self, n_trials: int, seed: int = 0) -> List[FaultSite]:
         """The full trial plan, pre-sampled serially from the seed.
 
@@ -481,9 +397,6 @@ class Campaign:
         checkpoint_path: Optional[str] = None,
         progress: bool = False,
         on_trial: Optional[Callable] = None,
-        trial_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        on_worker_failure: Optional[str] = None,
         supervision=None,
         strict_resume: bool = False,
         chaos=None,
@@ -494,9 +407,9 @@ class Campaign:
         ``n_jobs`` shards trials over persistent worker processes (default:
         ``IPAS_JOBS`` env, else in-process); results are bit-identical for
         every worker count, including under worker failure — dead or hung
-        workers are requeued and respawned per the supervision policy
-        (``trial_timeout``/``max_retries``/``on_worker_failure``, or a full
-        ``supervision=SupervisorPolicy(...)``).  ``checkpoint_path``
+        workers are requeued and respawned per ``supervision`` (a
+        :class:`~repro.faults.supervisor.SupervisorPolicy`; default from
+        the environment).  ``checkpoint_path``
         flushes completed trials to a resumable, CRC-protected JSONL file;
         ``progress`` prints live throughput to stderr;
         ``on_trial(index, record)`` fires per completed trial.
@@ -514,9 +427,6 @@ class Campaign:
             checkpoint_path=checkpoint_path,
             progress=progress,
             on_trial=on_trial,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            on_worker_failure=on_worker_failure,
             supervision=supervision,
             strict_resume=strict_resume,
             chaos=chaos,

@@ -17,8 +17,9 @@ must not recompile the module per trial).  This engine keeps both:
   parent (``fork`` start method), so they inherit the compiled module, the
   golden capture, and the indexed fault space — zero recompilation, one
   ``Interpreter`` per worker reused across its whole shard.  Trials travel
-  to workers as indexes and come back as ``(outcome, status, cycles,
-  recovery)`` — IR objects never cross the process boundary.  The pool is run by
+  to workers as indexes and come back as canonical trial entries (the
+  checkpoint schema, :func:`trial_entry`) plus warm-start metadata — IR
+  objects never cross the process boundary.  The pool is run by
   :mod:`repro.faults.supervisor`: dead or hung workers are detected, their
   trials requeued, replacements respawned with capped backoff, poison
   trials quarantined, and a collapsed pool degrades to in-process serial
@@ -64,7 +65,6 @@ from .supervisor import (
     PoolCollapse,
     SupervisorPolicy,
     TrialFailure,
-    WorkerFailureError,
     run_supervised,
 )
 
@@ -449,8 +449,16 @@ def _seal(entry: Dict) -> Dict:
     return entry
 
 
-def _checked_loads(raw: str):
-    """Parse one checkpoint line → ``(entry, None)`` or ``(None, error)``.
+def sealed_line(entry: Dict) -> str:
+    """Serialize ``entry`` as one checkpoint-v2 journal line: canonical
+    JSON with a ``crc`` field sealing the payload.  The service job
+    journal (:mod:`repro.service.journal`) shares this line format with
+    campaign checkpoints so one reader/auditor covers both."""
+    return json.dumps(_seal(dict(entry)))
+
+
+def checked_line(raw: str):
+    """Parse one sealed line → ``(entry, None)`` or ``(None, error)``.
 
     ``error`` is ``"unparseable"`` (torn write) or ``"crc"`` (bit damage
     to an otherwise well-formed line).
@@ -464,20 +472,6 @@ def _checked_loads(raw: str):
     if entry.get("crc") != _entry_crc(entry):
         return None, "crc"
     return entry, None
-
-
-def sealed_line(entry: Dict) -> str:
-    """Serialize ``entry`` as one checkpoint-v2 journal line: canonical
-    JSON with a ``crc`` field sealing the payload.  The service job
-    journal (:mod:`repro.service.journal`) shares this line format with
-    campaign checkpoints so one reader/auditor covers both."""
-    return json.dumps(_seal(dict(entry)))
-
-
-def checked_line(raw: str):
-    """Public counterpart of :func:`sealed_line`: parse one sealed line →
-    ``(entry, None)`` or ``(None, "unparseable"|"crc")``."""
-    return _checked_loads(raw)
 
 
 def fsync_directory(path: str) -> None:
@@ -519,12 +513,10 @@ def trial_entry(index: int, site: FaultSite, site_index: int, record) -> Dict:
         "status": record.status,
         "cycles": record.cycles,
     }
-    failure = getattr(record, "failure", None)
-    if failure is not None:
-        entry["failure"] = failure.as_dict()
-    recovery = getattr(record, "recovery", None)
-    if recovery is not None:
-        entry["recovery"] = recovery.as_dict()
+    if record.failure is not None:
+        entry["failure"] = record.failure.as_dict()
+    if record.recovery is not None:
+        entry["recovery"] = record.recovery.as_dict()
     return entry
 
 
@@ -550,21 +542,15 @@ def record_from_entry(entry: Dict, site: FaultSite, context: str):
     """
     from .campaign import TrialRecord
 
-    failure = (
-        TrialFailure.from_dict(entry["failure"]) if entry.get("failure") else None
-    )
-    recovery = (
-        RecoveryTelemetry.from_dict(entry["recovery"])
-        if entry.get("recovery")
-        else None
-    )
+    failure = entry.get("failure")
+    recovery = entry.get("recovery")
     return TrialRecord(
         site,
         parse_outcome(entry["outcome"], context),
         entry["status"],
         entry["cycles"],
-        failure=failure,
-        recovery=recovery,
+        failure=TrialFailure.from_dict(failure) if failure else None,
+        recovery=RecoveryTelemetry.from_dict(recovery) if recovery else None,
     )
 
 
@@ -589,7 +575,6 @@ class CampaignCheckpoint:
         fingerprint: str,
         n_trials: int,
         seed: int,
-        flush_interval: int = DEFAULT_CHUNK,
         model: str = "transient-1bit",
     ):
         self.path = path
@@ -599,46 +584,66 @@ class CampaignCheckpoint:
         #: fault-model spec of the campaign writing/resuming this file.
         #: Headers without the key are legacy files: always transient-1bit.
         self.model = model
-        self.flush_interval = flush_interval
         self._record_lines: List[str] = []
         self._pending = 0
         self._open = False
         #: CampaignStats whose registry snapshot is persisted into the
         #: header on every flush (None skips the summary)
         self.stats = None
-        # diagnostics from the last load()
-        self.mismatch: Optional[str] = None
-        self.corrupted_lines = 0
-        self.truncated_tail = False
         #: metrics snapshot recovered from a resumed header, for
         #: :meth:`CampaignStats.absorb` (None for pre-stats checkpoints)
         self.prior_stats: Optional[Dict] = None
 
     def load(self, strict: bool = False) -> Dict[int, Dict]:
         """Completed trial dicts by index; ``{}`` if absent or mismatched."""
-        self.mismatch = None
-        self.corrupted_lines = 0
-        self.truncated_tail = False
         self.prior_stats = None
         try:
-            with open(self.path) as fh:
-                text = fh.read()
+            scan = _scan_checkpoint(self.path, self.n_trials)
         except OSError:
             return {}
-        lines = text.split("\n")
-        while lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
+        if scan is None:
             return {}
-        header, error = _checked_loads(lines[0])
-        if header is None:
-            self.mismatch = f"unreadable header ({error})"
-        elif header.get("version") != CHECKPOINT_VERSION:
-            self.mismatch = (
-                f"unsupported checkpoint version {header.get('version')!r} "
-                f"(this engine writes v{CHECKPOINT_VERSION})"
+        mismatch = scan.error or self._identity_mismatch(scan.header)
+        if mismatch:
+            if strict:
+                raise CheckpointMismatchError(f"{self.path}: {mismatch}")
+            warnings.warn(
+                f"discarding checkpoint {self.path}: {mismatch}",
+                CheckpointWarning,
+                stacklevel=2,
             )
-        elif header.get("model", "transient-1bit") != self.model:
+            return {}
+        for unknown in scan.unknown:
+            # Forward-compat guard: an outcome string this engine does not
+            # know (e.g. "corrected" read by a pre-recovery build) must
+            # fail loudly, not as a bare KeyError deep in resume.
+            parse_outcome(
+                unknown["outcome"],
+                f"checkpoint {self.path}:{unknown['line']}, "
+                f"version {CHECKPOINT_VERSION}",
+            )
+        if isinstance(scan.header.get("stats"), dict):
+            self.prior_stats = scan.header["stats"]
+        if scan.truncated_tail:
+            warnings.warn(
+                f"{self.path}: dropping torn final line (crash mid-write); "
+                f"the trial will re-run",
+                CheckpointWarning,
+                stacklevel=2,
+            )
+        if scan.corrupted_lines:
+            warnings.warn(
+                f"{self.path}: skipped {scan.corrupted_lines} corrupted "
+                f"checkpoint line(s); the affected trials will re-run",
+                CheckpointWarning,
+                stacklevel=2,
+            )
+        self._record_lines = scan.lines
+        return scan.entries
+
+    def _identity_mismatch(self, header: Dict) -> Optional[str]:
+        """Why ``header`` belongs to another campaign, or ``None``."""
+        if header.get("model", "transient-1bit") != self.model:
             # Trial records from different corruption models must never be
             # merged — refuse outright rather than warn-and-discard, so the
             # operator consciously picks a new checkpoint path.
@@ -648,69 +653,18 @@ class CampaignCheckpoint:
                 f"campaign runs {self.model!r}; resuming would mix "
                 f"incompatible trial plans — use a fresh checkpoint path"
             )
-        elif header.get("fingerprint") != self.fingerprint:
-            self.mismatch = (
+        if header.get("fingerprint") != self.fingerprint:
+            return (
                 f"fingerprint mismatch: checkpoint {header.get('fingerprint')!r} "
                 f"vs campaign {self.fingerprint!r}"
             )
-        elif header.get("n_trials") != self.n_trials or header.get("seed") != self.seed:
-            self.mismatch = (
+        if header.get("n_trials") != self.n_trials or header.get("seed") != self.seed:
+            return (
                 f"plan mismatch: checkpoint n_trials={header.get('n_trials')} "
                 f"seed={header.get('seed')} vs campaign n_trials={self.n_trials} "
                 f"seed={self.seed}"
             )
-        if self.mismatch:
-            if strict:
-                raise CheckpointMismatchError(f"{self.path}: {self.mismatch}")
-            warnings.warn(
-                f"discarding checkpoint {self.path}: {self.mismatch}",
-                CheckpointWarning,
-                stacklevel=2,
-            )
-            return {}
-        prior_stats = header.get("stats")
-        if isinstance(prior_stats, dict):
-            self.prior_stats = prior_stats
-        completed: Dict[int, Dict] = {}
-        keep: List[str] = []
-        last = len(lines) - 1
-        for lineno, raw in enumerate(lines[1:], start=1):
-            entry, error = _checked_loads(raw)
-            if entry is None:
-                if lineno == last and error == "unparseable":
-                    self.truncated_tail = True
-                    warnings.warn(
-                        f"{self.path}: dropping torn final line (crash mid-write); "
-                        f"the trial will re-run",
-                        CheckpointWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    self.corrupted_lines += 1
-                continue
-            i = entry.get("i")
-            if isinstance(i, int) and 0 <= i < self.n_trials:
-                # Forward-compat guard: an outcome string this engine does
-                # not know (e.g. "corrected" read by a pre-recovery build)
-                # must fail loudly, not as a bare KeyError deep in resume.
-                parse_outcome(
-                    entry.get("outcome"),
-                    f"checkpoint {self.path}:{lineno + 1}, "
-                    f"version {CHECKPOINT_VERSION}",
-                )
-                completed[i] = entry
-                keep.append(raw)
-            else:
-                self.corrupted_lines += 1
-        if self.corrupted_lines:
-            warnings.warn(
-                f"{self.path}: skipped {self.corrupted_lines} corrupted "
-                f"checkpoint line(s); the affected trials will re-run",
-                CheckpointWarning,
-                stacklevel=2,
-            )
-        self._record_lines = keep
-        return completed
+        return None
 
     def open_for_append(self, fresh: bool) -> None:
         """Start writing; ``fresh`` drops any previously loaded records.
@@ -741,17 +695,16 @@ class CampaignCheckpoint:
         }
         if self.stats is not None:
             header["stats"] = self.stats.registry.as_dict()
-        return json.dumps(_seal(header))
+        return sealed_line(header)
 
-    def append(self, index: int, site: FaultSite, site_index: int, record) -> None:
+    def append(self, entry: Dict) -> None:
+        """Buffer one trial entry (:func:`trial_entry`), sealed as given."""
         assert self._open
-        self._record_lines.append(
-            sealed_line(trial_entry(index, site, site_index, record))
-        )
+        self._record_lines.append(sealed_line(entry))
         self._pending += 1
         # An atomic flush rewrites the whole file, so amortise: the
         # interval grows with the file, keeping total flush work O(n log n).
-        if self._pending >= max(self.flush_interval, len(self._record_lines) // 8):
+        if self._pending >= max(DEFAULT_CHUNK, len(self._record_lines) // 8):
             self.flush()
 
     def flush(self) -> None:
@@ -777,6 +730,77 @@ class CampaignCheckpoint:
             self._open = False
 
 
+class _Scan:
+    """One parse of a checkpoint file, shared by resume and verification.
+
+    ``error`` says why the header is unusable; then no record was read.
+    Otherwise ``entries`` maps each in-range trial index to its last good
+    record, ``lines`` keeps those records' raw lines, ``unknown`` lists
+    ``{"line", "outcome"}`` for records whose outcome this engine does
+    not know, and ``records`` counts every in-range record, known outcome
+    or not.
+    """
+
+    def __init__(self):
+        self.header: Optional[Dict] = None
+        self.error: Optional[str] = None
+        self.entries: Dict[int, Dict] = {}
+        self.lines: List[str] = []
+        self.unknown: List[Dict] = []
+        self.records = 0
+        self.corrupted_lines = 0
+        self.truncated_tail = False
+
+
+def _scan_checkpoint(path: str, n_trials: Optional[int] = None) -> Optional[_Scan]:
+    """Parse ``path``; ``None`` for an empty file, ``OSError`` if unreadable.
+
+    ``n_trials`` bounds the valid trial indexes (default: the header's).
+    A torn final line is a crash mid-write; any other bad line is damage.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None
+    scan = _Scan()
+    header, error = checked_line(lines[0])
+    if header is None:
+        scan.error = f"unreadable header ({error})"
+        return scan
+    scan.header = header
+    if header.get("version") != CHECKPOINT_VERSION:
+        scan.error = (
+            f"unsupported checkpoint version {header.get('version')!r} "
+            f"(this engine reads v{CHECKPOINT_VERSION})"
+        )
+        return scan
+    limit = n_trials if n_trials is not None else header.get("n_trials")
+    last = len(lines) - 1
+    for lineno, raw in enumerate(lines[1:], start=1):
+        entry, error = checked_line(raw)
+        if entry is None:
+            if lineno == last and error == "unparseable":
+                scan.truncated_tail = True
+            else:
+                scan.corrupted_lines += 1
+            continue
+        i = entry.get("i")
+        if not isinstance(i, int) or (isinstance(limit, int) and not 0 <= i < limit):
+            scan.corrupted_lines += 1
+            continue
+        scan.records += 1
+        try:
+            parse_outcome(entry.get("outcome"))
+        except ValueError:
+            scan.unknown.append({"line": lineno + 1, "outcome": entry.get("outcome")})
+            continue
+        scan.entries[i] = entry
+        scan.lines.append(raw)
+    return scan
+
+
 def verify_checkpoint(
     path: str,
     fingerprint: Optional[str] = None,
@@ -787,7 +811,8 @@ def verify_checkpoint(
 
     Returns a JSON-compatible report: header validity, the fingerprint
     match (when an expected ``fingerprint`` is supplied), the number of
-    ``recoverable`` trials, the ``lost`` count (trials a resume must
+    ``recoverable`` trials (0 when the fingerprint does not match, since a
+    resume discards the file), the ``lost`` count (trials a resume must
     re-run), corrupted lines, whether the tail was torn, and any
     ``unknown_outcomes`` — structurally valid records whose outcome string
     this engine does not know (each reported as ``{"line", "outcome"}``
@@ -811,31 +836,19 @@ def verify_checkpoint(
         "error": None,
     }
     try:
-        with open(path) as fh:
-            text = fh.read()
+        scan = _scan_checkpoint(path, n_trials)
     except OSError as exc:
         report["error"] = str(exc)
         return report
     report["exists"] = True
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if scan is None:
         report["error"] = "empty file"
         return report
-    header, error = _checked_loads(lines[0])
-    if header is None:
-        report["error"] = f"unreadable header ({error})"
-        return report
-    report["version"] = header.get("version")
-    report["fingerprint"] = header.get("fingerprint")
-    report["n_trials"] = header.get("n_trials")
-    report["seed"] = header.get("seed")
-    if header.get("version") != CHECKPOINT_VERSION:
-        report["error"] = (
-            f"unsupported version {header.get('version')!r} "
-            f"(this engine reads v{CHECKPOINT_VERSION})"
-        )
+    header = scan.header or {}
+    for key in ("version", "fingerprint", "n_trials", "seed"):
+        report[key] = header.get(key)
+    if scan.error:
+        report["error"] = scan.error
         return report
     report["header_ok"] = True
     if fingerprint is not None:
@@ -844,35 +857,17 @@ def verify_checkpoint(
             and (n_trials is None or header.get("n_trials") == n_trials)
             and (seed is None or header.get("seed") == seed)
         )
+    report.update(
+        records=scan.records,
+        corrupted_lines=scan.corrupted_lines,
+        truncated_tail=scan.truncated_tail,
+        unknown_outcomes=scan.unknown,
+    )
+    if report["fingerprint_ok"] is not False:
+        report["recoverable"] = len(scan.entries)
     expected_trials = n_trials if n_trials is not None else header.get("n_trials")
-    indexes = set()
-    last = len(lines) - 1
-    for lineno, raw in enumerate(lines[1:], start=1):
-        entry, error = _checked_loads(raw)
-        if entry is None:
-            if lineno == last and error == "unparseable":
-                report["truncated_tail"] = True
-            else:
-                report["corrupted_lines"] += 1
-            continue
-        i = entry.get("i")
-        if isinstance(i, int) and (
-            not isinstance(expected_trials, int) or 0 <= i < expected_trials
-        ):
-            report["records"] += 1
-            try:
-                parse_outcome(entry.get("outcome"))
-            except ValueError:
-                report["unknown_outcomes"].append(
-                    {"line": lineno + 1, "outcome": entry.get("outcome")}
-                )
-                continue
-            indexes.add(i)
-        else:
-            report["corrupted_lines"] += 1
-    report["recoverable"] = len(indexes)
     if isinstance(expected_trials, int):
-        report["lost"] = max(expected_trials - len(indexes), 0)
+        report["lost"] = max(expected_trials - report["recoverable"], 0)
     return report
 
 
@@ -893,18 +888,17 @@ def campaign_fingerprint(campaign, n_trials: int, seed: int) -> str:
             f"|{campaign.golden_cycles}|{campaign.total_dynamic_injectable}|"
         ).encode()
     )
-    recovery = getattr(campaign, "recovery", None)
-    if recovery is not None:
+    if campaign.recovery is not None:
         # Only armed recovery changes outcomes; plain campaigns keep their
         # historical fingerprints, so old checkpoints stay resumable.
-        h.update(f"{recovery.signature()}|".encode())
-    if getattr(campaign, "warm_start", False):
+        h.update(f"{campaign.recovery.signature()}|".encode())
+    if campaign.warm_start:
         # Warm-start records are bit-identical to cold ones, but the
         # execution engines differ — keep the checkpoints apart so a warm
         # resume never silently validates cold results (and vice versa).
         h.update(f"warm1|{campaign.effective_stride}|".encode())
-    model = getattr(campaign, "fault_model", None)
-    if model is not None and model.signature():
+    model = campaign.fault_model
+    if model.signature():
         # The default transient single-bit model signs as "" so historical
         # fingerprints survive byte-identical; every other model stamps its
         # full parameterised spec into the plan identity.
@@ -921,6 +915,149 @@ def campaign_fingerprint(campaign, n_trials: int, seed: int) -> str:
 # -- the engine ---------------------------------------------------------------
 
 
+class TrialLedger:
+    """One campaign's pre-sampled trial plan and the results committed to it.
+
+    The in-process loop, the fork pool and the campaign service all plan,
+    resume, commit and finish through this object.  It hides the
+    checkpoint and its entry schema — :func:`trial_entry` out,
+    :func:`record_from_entry` in — and the commit policy: an entry is
+    accepted only for an in-range trial not yet committed whose identity
+    fields match the local plan (:func:`entry_matches_site`), so stale,
+    duplicate or foreign entries never reach the results.
+    """
+
+    def __init__(
+        self,
+        campaign,
+        n_trials: int,
+        seed: int,
+        checkpoint_path: Optional[str] = None,
+        strict: bool = False,
+    ):
+        self.campaign = campaign
+        self.n_trials = n_trials
+        self.seed = seed
+        self.checkpoint_path = checkpoint_path
+        self.strict = strict
+        #: the deterministic plan: one fault site per trial index
+        self.sites = campaign.sample_trials(n_trials, seed)
+        self.site_index = [campaign.site_index(site) for site in self.sites]
+        #: committed TrialRecords by trial index (None: not yet committed)
+        self.records: List = [None] * n_trials
+        #: trials committed so far, resumed ones included
+        self.done = 0
+        #: CampaignStats that absorbs a resumed header, records each commit
+        #: and is persisted into the checkpoint header (None: no stats)
+        self.stats: Optional[CampaignStats] = None
+        self.checkpoint: Optional[CampaignCheckpoint] = None
+
+    @property
+    def fingerprint(self) -> str:
+        """The plan's identity (:func:`campaign_fingerprint`)."""
+        return campaign_fingerprint(self.campaign, self.n_trials, self.seed)
+
+    def resume(self) -> int:
+        """Restore the trials the checkpoint holds, then open it for
+        appending; returns how many were restored (0 without a path)."""
+        if self.checkpoint_path is None:
+            return 0
+        checkpoint = CampaignCheckpoint(
+            self.checkpoint_path,
+            self.fingerprint,
+            self.n_trials,
+            self.seed,
+            model=self.campaign.fault_model.spec(),
+        )
+        completed = checkpoint.load(strict=self.strict)
+        if self.stats is not None and checkpoint.prior_stats is not None:
+            # The header carries the previous run's metrics: absorb them so
+            # the resumed campaign reports cumulative telemetry (outcome
+            # tallies, latency, recovery and harness events).
+            self.stats.absorb(checkpoint.prior_stats)
+        context = f"checkpoint {self.checkpoint_path}"
+        resumed = sum(
+            self._accept(entry, context) is not None for entry in completed.values()
+        )
+        if self.stats is not None:
+            self.stats.resumed += resumed
+        checkpoint.stats = self.stats
+        checkpoint.open_for_append(fresh=not completed)
+        self.checkpoint = checkpoint
+        return resumed
+
+    def pending(self) -> List[int]:
+        """Trial indexes not yet committed, in plan order."""
+        return [i for i, record in enumerate(self.records) if record is None]
+
+    def entry(self, index: int, record) -> Dict:
+        """The canonical entry of ``record`` as trial ``index``."""
+        return trial_entry(index, self.sites[index], self.site_index[index], record)
+
+    def run_trial(self, index: int) -> Tuple[Dict, Optional[Tuple]]:
+        """Execute one trial → ``(entry, warm)``.  ``warm`` describes how a
+        warm-start trial ran; it travels beside the entry, never on disk."""
+        record = self.campaign.run_site(self.sites[index])
+        return self.entry(index, record), record.warm
+
+    def run_chunk(self, indexes: List[int]) -> List[Dict]:
+        """Execute trials in-process → their entries, ready to commit."""
+        return [self.run_trial(i)[0] for i in indexes]
+
+    def commit(self, entry: Dict, warm=None, seconds: float = 0.0):
+        """Accept one entry → its ``TrialRecord``, or ``None`` if refused.
+
+        An accepted entry is counted in ``stats`` (``seconds`` is its
+        execution time) and appended to the checkpoint exactly as given.
+        """
+        record = self._accept(entry, f"trial {entry.get('i')!r}")
+        if record is None:
+            return None
+        record.warm = warm
+        if self.stats is not None:
+            self.stats.record(
+                record.outcome, seconds, record.recovery, warm, cycles=record.cycles
+            )
+        if self.checkpoint is not None:
+            self.checkpoint.append(entry)
+        return record
+
+    def _accept(self, entry: Dict, context: str):
+        i = entry.get("i")
+        if not isinstance(i, int) or not 0 <= i < self.n_trials:
+            return None
+        site = self.sites[i]
+        if self.records[i] is not None or not entry_matches_site(
+            entry, site, self.site_index[i]
+        ):
+            return None
+        record = record_from_entry(entry, site, context)
+        self.records[i] = record
+        self.done += 1
+        return record
+
+    def entries(self) -> List[Dict]:
+        """Every committed trial's entry, in trial order."""
+        return [self.entry(i, record) for i, record in enumerate(self.records)]
+
+    def flush(self) -> None:
+        """Make every commit so far durable."""
+        if self.checkpoint is not None:
+            self.checkpoint.flush()
+
+    def close(self) -> None:
+        if self.checkpoint is not None:
+            self.checkpoint.close()
+
+    def finish(self) -> None:
+        """Static-vs-dynamic consistency sweep over the assembled records
+        (raises :class:`~repro.faults.sanitizer.CoverageViolation`), then
+        seal the checkpoint."""
+        campaign = self.campaign
+        sanitize_records(self.records, campaign.interp.module, model=campaign.fault_model)
+        self.close()
+
+
 def run_campaign(
     campaign,
     n_trials: int,
@@ -930,9 +1067,6 @@ def run_campaign(
     progress: bool = False,
     on_trial: Optional[Callable[[int, object], None]] = None,
     chunk_size: Optional[int] = None,
-    trial_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    on_worker_failure: Optional[str] = None,
     supervision: Optional[SupervisorPolicy] = None,
     strict_resume: bool = False,
     chaos=None,
@@ -943,10 +1077,9 @@ def run_campaign(
     Returns the same ``CampaignResult`` (bit-identical records, in trial
     order) for every ``n_jobs``, with a :class:`CampaignStats` attached as
     ``result.stats`` — including under worker death and hangs, which the
-    supervisor recovers by requeue + respawn (see
-    :mod:`repro.faults.supervisor`).  ``trial_timeout`` / ``max_retries`` /
-    ``on_worker_failure`` override the supervision policy (or pass a full
-    ``supervision=SupervisorPolicy(...)``).  ``on_trial(index, record)``
+    supervisor recovers by requeue + respawn per ``supervision`` (a
+    :class:`SupervisorPolicy`; default from the environment, see
+    :mod:`repro.faults.supervisor`).  ``on_trial(index, record)``
     fires as each trial completes (completion order); an exception raised
     from it — including ``KeyboardInterrupt`` — aborts the campaign after
     flushing and closing the checkpoint, which is how interrupted runs stay
@@ -965,12 +1098,7 @@ def run_campaign(
     from .campaign import CampaignResult, TrialRecord
 
     n_jobs = resolve_jobs(n_jobs)
-    policy = SupervisorPolicy.resolve(
-        supervision,
-        trial_timeout=trial_timeout,
-        max_retries=max_retries,
-        on_worker_failure=on_worker_failure,
-    )
+    policy = SupervisorPolicy.resolve(supervision)
     tracer = obs.open_trace() if obs is not None else None
 
     def phase(name: str, **args):
@@ -979,49 +1107,24 @@ def run_campaign(
     with phase("prepare"):
         campaign.prepare()
     ladder = None
-    if getattr(campaign, "warm_start", False):
+    if campaign.warm_start:
         # Build the ladder in the parent: forked workers inherit the rungs
         # copy-on-write, so one golden capture serves every worker count —
         # and the rungs (hence every trial) are bit-identical at any n_jobs.
         with phase("ladder-capture"):
             ladder = campaign.ensure_ladder()
     with phase("sample-trials", n_trials=n_trials, seed=seed):
-        sites = campaign.sample_trials(n_trials, seed)
-    stats = CampaignStats(
+        ledger = TrialLedger(campaign, n_trials, seed, checkpoint_path, strict_resume)
+    sites = ledger.sites
+    stats = ledger.stats = CampaignStats(
         n_trials, n_jobs,
         registry=obs.registry if obs is not None else None,
     )
-    records: List[Optional[TrialRecord]] = [None] * n_trials
-
-    checkpoint = None
     if checkpoint_path:
         with phase("checkpoint-resume"):
-            fingerprint = campaign_fingerprint(campaign, n_trials, seed)
-            model = getattr(campaign, "fault_model", None)
-            checkpoint = CampaignCheckpoint(
-                checkpoint_path, fingerprint, n_trials, seed,
-                model=model.spec() if model is not None else "transient-1bit",
-            )
-            completed = checkpoint.load(strict=strict_resume)
-            if checkpoint.prior_stats is not None:
-                # The header carries the previous run's metrics: absorb them
-                # so the resumed campaign reports cumulative telemetry
-                # (outcome tallies, latency, recovery and harness events).
-                stats.absorb(checkpoint.prior_stats)
-            for i, entry in completed.items():
-                if records[i] is not None:
-                    continue
-                site = sites[i]
-                if not entry_matches_site(entry, site, campaign.site_index(site)):
-                    continue  # does not match the deterministic plan; re-run
-                records[i] = record_from_entry(
-                    entry, site, f"checkpoint {checkpoint_path}"
-                )
-                stats.resumed += 1
-            checkpoint.stats = stats
-            checkpoint.open_for_append(fresh=not completed)
+            ledger.resume()
 
-    pending = [i for i in range(n_trials) if records[i] is None]
+    pending = ledger.pending()
     if ladder is not None and len(pending) > 1:
         # Bucket trials by their restore rung so consecutive chunks hit the
         # same rung (warm caches stay hot in each worker).  Results are
@@ -1033,7 +1136,6 @@ def run_campaign(
             for i in pending
         }
         pending.sort(key=lambda i: (bucket[i], i))
-    trial_site_index = {i: campaign.site_index(sites[i]) for i in pending}
     last_progress = [stats.started]
 
     def trace_trial(index: int, record: TrialRecord, seconds: float, wid: int) -> None:
@@ -1063,24 +1165,24 @@ def run_campaign(
                 "rollback", wid, trial=index, rollbacks=recovery.rollbacks,
                 reexec_cycles=recovery.reexec_cycles,
             )
-        warm = getattr(record, "warm", None)
-        if warm is not None and warm[1]:
+        if record.warm is not None and record.warm[1]:
             tracer.event("golden-resync", wid, trial=index)
         if record.outcome is Outcome.TRIAL_FAILURE:
             tracer.event("quarantine", wid, trial=index)
 
-    def deliver(
-        index: int, record: TrialRecord, seconds: float, wid: int = 0
-    ) -> None:
-        records[index] = record
-        stats.record(
-            record.outcome, seconds, record.recovery,
-            getattr(record, "warm", None), cycles=record.cycles,
-        )
+    def deliver(index: int, result, seconds: float, wid: int = 0) -> None:
+        # ``result`` is ``run_trial``'s ``(entry, warm)``, or the
+        # supervisor's TrialFailure for a quarantined trial.
+        if isinstance(result, TrialFailure):
+            failed = TrialRecord(
+                sites[index], Outcome.TRIAL_FAILURE, "harness", 0, failure=result
+            )
+            result = (ledger.entry(index, failed), None)
+        record = ledger.commit(*result, seconds=seconds)
+        if record is None:
+            return  # refused: already committed, or not this plan's trial
         if tracer is not None:
             trace_trial(index, record, seconds, wid)
-        if checkpoint is not None:
-            checkpoint.append(index, sites[index], trial_site_index[index], record)
         if on_trial is not None:
             on_trial(index, record)
         if progress:
@@ -1089,59 +1191,25 @@ def run_campaign(
                 last_progress[0] = now
                 print(stats.progress_line(), file=sys.stderr)
 
-    def run_trial(index: int) -> Tuple[str, str, int, Optional[Tuple], Optional[Tuple]]:
-        # Runs in forked workers (which inherit the prepared campaign) and
-        # in the parent for the serial-fallback path; only plain values
-        # are returned, so results pickle across the pipe.
-        record = campaign.run_site(sites[index])
-        rec_wire = record.recovery.as_wire() if record.recovery is not None else None
-        return (
-            record.outcome.value,
-            record.status,
-            record.cycles,
-            rec_wire,
-            getattr(record, "warm", None),
-        )
-
-    def deliver_wire(index: int, result, seconds: float, wid: int = 0) -> None:
-        if isinstance(result, TrialFailure):
-            record = TrialRecord(
-                sites[index], Outcome.TRIAL_FAILURE, "harness", 0, failure=result
-            )
-        else:
-            outcome_value, status, cycles, rec_wire, warm = result
-            recovery = (
-                RecoveryTelemetry.from_wire(rec_wire) if rec_wire is not None else None
-            )
-            record = TrialRecord(
-                sites[index],
-                Outcome(outcome_value),
-                status,
-                cycles,
-                recovery=recovery,
-                warm=warm,
-            )
-        deliver(index, record, seconds, wid)
+    def run_in_process(indexes: List[int]) -> None:
+        perf = time.perf_counter
+        for i in indexes:
+            t0 = perf()
+            result = ledger.run_trial(i)
+            deliver(i, result, perf() - t0)
 
     try:
         try:
             with phase("execute", pending=len(pending), n_jobs=n_jobs):
-                if len(pending) == 0:
-                    pass
-                elif n_jobs == 1 or len(pending) == 1 or not fork_available():
-                    perf = time.perf_counter
-                    for i in pending:
-                        t0 = perf()
-                        record = campaign.run_site(sites[i])
-                        deliver(i, record, perf() - t0)
+                if n_jobs == 1 or len(pending) <= 1 or not fork_available():
+                    run_in_process(pending)
                 else:
-                    items = [(i, i) for i in pending]
                     try:
                         run_supervised(
-                            run_trial,
-                            items,
+                            ledger.run_trial,
+                            pending,
                             n_jobs,
-                            deliver_wire,
+                            deliver,
                             policy=policy,
                             stats=stats,
                             chaos=chaos,
@@ -1153,33 +1221,26 @@ def run_campaign(
                         stats.serial_fallback = True
                         if tracer is not None:
                             tracer.event("serial-fallback", 0, reason=collapse.reason)
-                        perf = time.perf_counter
-                        for index, payload in collapse.remaining:
-                            t0 = perf()
-                            deliver_wire(index, run_trial(payload), perf() - t0)
+                        run_in_process(collapse.remaining)
         finally:
             # Runs on success, errors, and KeyboardInterrupt alike: buffered
             # records are flushed and the checkpoint sealed before anything
             # propagates, so an interrupted campaign is always resumable.
             stats.finish()
-            if checkpoint is not None:
-                checkpoint.close()
+            ledger.close()
 
         # Static-vs-dynamic consistency sweep, parent-side: a worker exception
         # would be quarantined as TRIAL_FAILURE, so the impossible-SOC check
         # must run here, after assembly, where it can actually abort the run.
         with phase("sanitize"):
-            sanitize_records(
-                records,
-                campaign.interp.module,
-                model=getattr(campaign, "fault_model", None),
-            )
+            ledger.finish()
     finally:
         if obs is not None:
             # Seal the trace and dump the metrics registry even when the
             # campaign aborts — a partial trace is still loadable.
             obs.close()
 
+    records = ledger.records
     counts = OutcomeCounts()
     for record in records:
         assert record is not None
@@ -1187,4 +1248,3 @@ def run_campaign(
     result = CampaignResult(records, counts, campaign.golden_cycles, seed)
     result.stats = stats
     return result
-

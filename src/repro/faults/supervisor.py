@@ -27,10 +27,11 @@ pipe each — and supervises them:
 * **Graceful collapse.**  When the pool cannot be sustained (respawn budget
   exhausted, or ``on_worker_failure="serial"``), the supervisor drains what
   completed and raises :class:`PoolCollapse` carrying the undelivered
-  items; the caller finishes them in-process.
+  indexes; the caller finishes them in-process.
 
-Everything here is generic over ``fn(payload) -> result``: the statistical
-campaign and the MPI campaign both run on it.
+Everything here is generic over ``fn(index) -> result``; the campaign
+engine (:func:`repro.faults.parallel.run_campaign`) runs every campaign on
+it, single-process and multi-rank alike.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import time
 import traceback
 from collections import deque
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: supported reactions to a worker death/hang.
 ON_FAILURE_CHOICES = ("respawn", "serial", "abort")
@@ -74,9 +75,9 @@ class WorkerFailureError(RuntimeError):
 
 class PoolCollapse(Exception):
     """The worker pool cannot continue; ``remaining`` holds the
-    undelivered ``(index, payload)`` items for in-process completion."""
+    undelivered indexes for in-process completion."""
 
-    def __init__(self, remaining: List[Tuple[int, Any]], reason: str):
+    def __init__(self, remaining: List[int], reason: str):
         super().__init__(reason)
         self.remaining = remaining
         self.reason = reason
@@ -198,30 +199,16 @@ class SupervisorPolicy:
 
     @classmethod
     def resolve(
-        cls,
-        policy: Optional["SupervisorPolicy"] = None,
-        trial_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        on_worker_failure: Optional[str] = None,
+        cls, policy: Optional["SupervisorPolicy"] = None, **overrides
     ) -> "SupervisorPolicy":
-        """The effective policy: explicit kwargs over ``policy`` over env."""
+        """The effective policy: non-``None`` ``overrides`` (constructor
+        keywords) over ``policy`` over the environment."""
         base = policy if policy is not None else cls.from_env()
-        if trial_timeout is None and max_retries is None and on_worker_failure is None:
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        if not overrides:
             return base
-        return cls(
-            trial_timeout=(
-                trial_timeout if trial_timeout is not None else base.trial_timeout
-            ),
-            max_retries=max_retries if max_retries is not None else base.max_retries,
-            on_worker_failure=(
-                on_worker_failure
-                if on_worker_failure is not None
-                else base.on_worker_failure
-            ),
-            max_respawns=base.max_respawns,
-            backoff_base=base.backoff_base,
-            backoff_cap=base.backoff_cap,
-        )
+        fields = {k: getattr(base, k) for k in cls.__slots__}
+        return cls(**{**fields, **overrides})
 
     def __repr__(self) -> str:
         return (
@@ -235,8 +222,8 @@ class SupervisorPolicy:
 
 
 def _worker_main(conn, fn, chaos) -> None:
-    """Worker loop: receive a chunk of ``(index, payload)``, ack each result
-    in order, signal chunk completion, repeat until the ``None`` sentinel."""
+    """Worker loop: receive a chunk of indexes, ack each result in order,
+    signal chunk completion, repeat until the ``None`` sentinel."""
     if chaos is not None:
         chaos.arm()
     try:
@@ -244,12 +231,12 @@ def _worker_main(conn, fn, chaos) -> None:
             chunk = conn.recv()
             if chunk is None:
                 return
-            for index, payload in chunk:
+            for index in chunk:
                 if chaos is not None:
                     chaos.before_trial(index)
                 started = time.perf_counter()
                 try:
-                    result = fn(payload)
+                    result = fn(index)
                 except BaseException:
                     conn.send(("err", index, traceback.format_exc()))
                     return
@@ -273,7 +260,7 @@ class _Worker:
     def __init__(self, proc, conn, wid: int = 0):
         self.proc = proc
         self.conn = conn
-        self.inflight: List[Tuple[int, Any]] = []
+        self.inflight: List[int] = []
         self.deadline: Optional[float] = None
         #: stable lane id for result attribution (respawns get fresh ids,
         #: so a trace shows replacement workers as new lanes)
@@ -286,8 +273,8 @@ def _bump(stats, attr: str, amount=1) -> None:
 
 
 def run_supervised(
-    fn: Callable[[Any], Any],
-    items: Sequence[Tuple[int, Any]],
+    fn: Callable[[int], Any],
+    indexes: Sequence[int],
     n_jobs: int,
     deliver: Callable[[int, Any, float], None],
     policy: Optional[SupervisorPolicy] = None,
@@ -295,24 +282,24 @@ def run_supervised(
     chaos=None,
     chunk_size: Optional[int] = None,
 ) -> None:
-    """Map ``fn`` over ``items`` with a supervised pool of forked workers.
+    """Map ``fn`` over ``indexes`` with a supervised pool of forked workers.
 
     ``deliver(index, result, seconds, wid)`` fires in completion order,
     with ``wid`` the lane id of the worker that produced the result
     (respawned workers get fresh ids); a
-    quarantined item delivers a :class:`TrialFailure` as its result.
-    Payloads and results cross the pipe and must pickle; ``fn`` itself is
-    inherited by fork and may close over arbitrary state.  Raises
-    :class:`PoolCollapse` (with the undelivered items) when the pool cannot
+    quarantined index delivers a :class:`TrialFailure` as its result.
+    Results cross the pipe and must pickle; ``fn`` itself is inherited by
+    fork and may close over arbitrary state.  Raises
+    :class:`PoolCollapse` (with the undelivered indexes) when the pool cannot
     continue, or :class:`WorkerFailureError` under the ``"abort"`` policy.
     """
     policy = SupervisorPolicy.resolve(policy)
     if chunk_size is None:
-        chunk_size = max(1, min(16, len(items) // (n_jobs * 2) or 1))
+        chunk_size = max(1, min(16, len(indexes) // (n_jobs * 2) or 1))
     ctx = multiprocessing.get_context("fork")
 
-    pending: deque = deque(items)
-    total = len(items)
+    pending: deque = deque(indexes)
+    total = len(indexes)
     delivered = [0]
     retry_counts: Dict[int, int] = {}
     workers: Dict[Any, _Worker] = {}  # conn -> worker
@@ -356,10 +343,10 @@ def run_supervised(
             worker.proc.kill()
         worker.proc.join(timeout=5.0)
 
-    def drain_and_collect() -> List[Tuple[int, Any]]:
+    def drain_and_collect() -> List[int]:
         """Deliver already-acked results, then gather every undelivered
-        item (pending + in-flight) exactly once."""
-        remaining: List[Tuple[int, Any]] = list(pending)
+        index (pending + in-flight) exactly once."""
+        remaining: List[int] = list(pending)
         pending.clear()
         for worker in list(workers.values()):
             try:
@@ -372,16 +359,14 @@ def run_supervised(
             remaining.extend(worker.inflight)
             worker.inflight = []
             reap(worker, kill=True)
-        remaining.sort(key=lambda item: item[0])
+        remaining.sort()
         return remaining
 
     def _ack(worker: _Worker, message) -> None:
         nonlocal consecutive_failures
         _kind, index, result, seconds = message
-        for k, (i, _payload) in enumerate(worker.inflight):
-            if i == index:
-                del worker.inflight[k]
-                break
+        if index in worker.inflight:
+            worker.inflight.remove(index)
         consecutive_failures = 0
         deliver(index, result, seconds, worker.wid)
         delivered[0] += 1
@@ -395,7 +380,7 @@ def run_supervised(
         if reason == "hang":
             _bump(stats, "hangs")
         if unacked:
-            culprit_index, culprit_payload = unacked[0]
+            culprit_index = unacked[0]
             survivors = unacked[1:]
             attempts = retry_counts.get(culprit_index, 0) + 1
             retry_counts[culprit_index] = attempts
@@ -418,7 +403,7 @@ def run_supervised(
                 delivered[0] += 1
             else:
                 _bump(stats, "retries")
-                pending.appendleft((culprit_index, culprit_payload))
+                pending.appendleft(culprit_index)
             _bump(stats, "requeued", len(survivors))
             pending.extend(survivors)
         if policy.on_worker_failure == "abort":

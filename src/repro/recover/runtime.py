@@ -168,21 +168,6 @@ class RecoveryTelemetry:
             escalation_reason=str(data.get("escalation_reason", "")),
         )
 
-    def as_wire(self) -> Tuple:
-        """Compact form for the worker->parent pipe."""
-        return (
-            self.snapshots,
-            self.rollbacks,
-            self.reexec_cycles,
-            self.max_rollback_cycles,
-            self.escalations,
-            self.escalation_reason,
-        )
-
-    @classmethod
-    def from_wire(cls, wire: Tuple) -> "RecoveryTelemetry":
-        return cls(*wire)
-
     def __repr__(self) -> str:
         return (
             f"<RecoveryTelemetry snapshots={self.snapshots} "

@@ -17,21 +17,26 @@ every job.  The control flow per job:
    :func:`repro.faults.supervisor.backoff_delay`).
 3. **Commit.**  Worker acks carry canonical trial entries
    (:func:`repro.faults.parallel.trial_entry`).  Commit is at-most-once:
-   per-connection in-order sequence numbers, lease ownership, and the
-   already-committed record table all gate the write; stale or duplicate
-   acks from a resurrected worker are discarded.  Accepted entries are
-   appended to the job's checkpoint and flushed *before* the ack-ok, so
-   an acknowledged trial is durable by definition.
+   per-connection in-order sequence numbers and lease ownership gate the
+   ack here, and the job's :class:`~repro.faults.parallel.TrialLedger`
+   refuses entries already committed or not matching the plan; stale or
+   duplicate acks from a resurrected worker are discarded.  Accepted
+   entries are appended to the job's checkpoint and flushed *before* the
+   ack-ok, so an acknowledged trial is durable by definition.
 4. **Degrade.**  With no workers connected past a grace period the
-   coordinator runs chunks itself through the same commit path — the
-   in-process serial engine as a fallback backend, mirroring the
-   supervisor's ``PoolCollapse`` behavior.
+   coordinator runs chunks itself (:meth:`TrialLedger.run_chunk`) and
+   commits them through the same ledger — the in-process engine as a
+   fallback backend, mirroring the supervisor's ``PoolCollapse``
+   behavior.
 
-Because trial plans are pre-sampled deterministically and every commit
-is validated against the local plan, the records a job accumulates are
-bit-identical to a cold in-process ``Campaign.run`` no matter how many
-leases expired, acks were lost, or coordinators died along the way —
-the chaos suite (``tests/test_service.py``) asserts exactly that.
+Plan, resume, commit and finish are the ledger's, as for an in-process
+``Campaign.run``; this module adds leases, sequence numbers,
+flush-before-ack and the job journal.  Because trial plans are
+pre-sampled deterministically and every commit is validated against the
+local plan, the records a job accumulates are bit-identical to a cold
+in-process ``Campaign.run`` no matter how many leases expired, acks were
+lost, or coordinators died along the way — the chaos suite
+(``tests/test_service.py``) asserts exactly that.
 """
 
 from __future__ import annotations
@@ -39,15 +44,10 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from ..faults.parallel import (
-    CampaignCheckpoint,
-    entry_matches_site,
-    record_from_entry,
-    trial_entry,
-)
-from ..faults.sanitizer import sanitize_records
+from ..faults.parallel import CampaignCheckpoint, TrialLedger
 from ..faults.supervisor import backoff_delay
 from ..obs.registry import MetricsRegistry
 from . import protocol
@@ -103,12 +103,7 @@ class Job:
         "spec",
         "n_trials",
         "seed",
-        "campaign",
-        "sites",
-        "site_index",
-        "checkpoint",
-        "records",
-        "done_count",
+        "ledger",
         "resumed",
         "pending",
         "watchers",
@@ -122,12 +117,8 @@ class Job:
         self.spec = spec
         self.n_trials = n_trials
         self.seed = seed
-        self.campaign = None
-        self.sites = None
-        self.site_index: List[int] = []
-        self.checkpoint: Optional[CampaignCheckpoint] = None
-        self.records: Optional[List] = None
-        self.done_count = 0
+        #: plan, records and checkpoint (None for a job served from cache)
+        self.ledger: Optional[TrialLedger] = None
         self.resumed = 0
         self.pending: List[_Chunk] = []
         self.watchers: List[asyncio.Queue] = []
@@ -136,17 +127,17 @@ class Job:
         #: canonical entries in trial order, set when the job completes
         self.result_entries: Optional[List[Dict]] = None
 
+    @property
+    def done(self) -> int:
+        """Trials committed, resumed ones included (a cached job is complete)."""
+        return self.ledger.done if self.ledger is not None else self.n_trials
+
     def outcome_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
         if self.result_entries is not None:
-            for entry in self.result_entries:
-                counts[entry["outcome"]] = counts.get(entry["outcome"], 0) + 1
-        elif self.records is not None:
-            for record in self.records:
-                if record is not None:
-                    value = record.outcome.value
-                    counts[value] = counts.get(value, 0) + 1
-        return counts
+            outcomes = [entry["outcome"] for entry in self.result_entries]
+        else:
+            outcomes = [r.outcome.value for r in self.ledger.records if r is not None]
+        return dict(Counter(outcomes))
 
     def summary(self) -> Dict:
         data = {
@@ -154,7 +145,7 @@ class Job:
             "state": self.state,
             "n_trials": self.n_trials,
             "seed": self.seed,
-            "done": self.done_count,
+            "done": self.done,
             "resumed": self.resumed,
             "counts": self.outcome_counts(),
         }
@@ -251,8 +242,8 @@ class CoordinatorServer:
             except Exception:
                 pass
         for job in self.jobs.values():
-            if job.checkpoint is not None and job.state == "running":
-                job.checkpoint.close()
+            if job.ledger is not None and job.state == "running":
+                job.ledger.close()
             for queue in job.watchers:
                 queue.put_nowait({"op": "failed", "job": job.id,
                                   "error": "coordinator shut down"})
@@ -277,32 +268,13 @@ class CoordinatorServer:
 
     def _build_job(self, spec: Dict) -> Job:
         """Executor-thread body: golden run, plan, checkpoint resume."""
-        campaign = build_campaign(spec)
-        campaign.prepare()
-        n_trials = spec["trials"]
-        seed = spec.get("seed", 0)
-        job_id = campaign.fingerprint(n_trials, seed)
-        sites = campaign.sample_trials(n_trials, seed)
-        job = Job(job_id, spec, n_trials, seed)
-        job.campaign = campaign
-        job.sites = sites
-        job.site_index = [campaign.site_index(s) for s in sites]
-        job.records = [None] * n_trials
-        checkpoint = CampaignCheckpoint(
-            self.journal.job_path(job_id), job_id, n_trials, seed
-        )
-        completed = checkpoint.load()
-        for i, entry in completed.items():
-            if not entry_matches_site(entry, sites[i], job.site_index[i]):
-                continue
-            job.records[i] = record_from_entry(
-                entry, sites[i], f"checkpoint {checkpoint.path}"
-            )
-            job.done_count += 1
-            job.resumed += 1
-        checkpoint.open_for_append(fresh=not completed)
-        job.checkpoint = checkpoint
-        remaining = [i for i in range(n_trials) if job.records[i] is None]
+        ledger = TrialLedger(build_campaign(spec), spec["trials"], spec.get("seed", 0))
+        # The job id is the plan fingerprint; it also names the checkpoint.
+        job = Job(ledger.fingerprint, spec, ledger.n_trials, ledger.seed)
+        ledger.checkpoint_path = self.journal.job_path(job.id)
+        job.ledger = ledger
+        job.resumed = ledger.resume()
+        remaining = ledger.pending()
         job.pending = [
             _Chunk(remaining[k : k + self.chunk_size])
             for k in range(0, len(remaining), self.chunk_size)
@@ -329,7 +301,7 @@ class CoordinatorServer:
             if existing is not None:
                 # A different spec string reached the same fingerprint;
                 # drop the duplicate build and attach.
-                built.checkpoint.close()
+                built.ledger.close()
                 job, created = existing, False
             else:
                 job, created = built, True
@@ -343,7 +315,7 @@ class CoordinatorServer:
                     self._counter("ipas_service_trials_resumed_total").inc(
                         job.resumed
                     )
-                if job.done_count == job.n_trials:
+                if job.done == job.n_trials:
                     # Everything was already in the checkpoint (e.g. the
                     # crash happened after the last commit but before the
                     # done marker): finish without executing anything.
@@ -365,30 +337,19 @@ class CoordinatorServer:
         Returns ``False`` (caller falls back to a full rebuild) when the
         checkpoint does not actually hold every trial.
         """
-        from ..faults.parallel import checked_line
-
-        n_trials = spec.get("trials")
-        try:
-            with open(self.journal.job_path(job_id)) as fh:
-                lines = fh.read().splitlines()
-        except OSError:
+        n_trials = spec["trials"]
+        seed = spec.get("seed", 0)
+        completed = CampaignCheckpoint(
+            self.journal.job_path(job_id), job_id, n_trials, seed
+        ).load()
+        if len(completed) != n_trials:
             return False
-        by_index: Dict[int, Dict] = {}
-        for raw in lines[1:]:  # line 0 is the checkpoint header
-            entry, _error = checked_line(raw)
-            if entry is None:
-                continue
-            i = entry.get("i")
-            if isinstance(i, int) and 0 <= i < (n_trials or 0):
-                entry.pop("crc", None)
-                by_index[i] = entry
-        if not isinstance(n_trials, int) or len(by_index) != n_trials:
-            return False
-        job = Job(job_id, spec, n_trials, spec.get("seed", 0))
+        job = Job(job_id, spec, n_trials, seed)
         job.state = "done"
-        job.done_count = n_trials
         job.resumed = n_trials
-        job.result_entries = [by_index[i] for i in range(n_trials)]
+        job.result_entries = [completed[i] for i in range(n_trials)]
+        for entry in job.result_entries:
+            del entry["crc"]
         self.jobs[job_id] = job
         self._spec_to_job[canonical_spec(spec)] = job_id
         return True
@@ -410,7 +371,7 @@ class CoordinatorServer:
         job = self.jobs.get(lease.job_id)
         if job is None or job.state != "running":
             return
-        indexes = [i for i in lease.indexes if job.records[i] is None]
+        indexes = [i for i in lease.indexes if job.ledger.records[i] is None]
         if not indexes:
             return
         attempt = lease.attempt + 1
@@ -445,14 +406,6 @@ class CoordinatorServer:
 
     # -- serial degradation ------------------------------------------------
 
-    def _run_chunk(self, job: Job, indexes: List[int]) -> List[Dict]:
-        """Executor-thread body of the solo path: the in-process engine."""
-        entries = []
-        for i in indexes:
-            record = job.campaign.run_site(job.sites[i])
-            entries.append(trial_entry(i, job.sites[i], job.site_index[i], record))
-        return entries
-
     async def _solo_loop(self) -> None:
         announced = False
         while True:
@@ -471,7 +424,7 @@ class CoordinatorServer:
                 self._service_event("serial-fallback", job=job.id)
             try:
                 entries = await asyncio.get_running_loop().run_in_executor(
-                    None, self._run_chunk, job, list(chunk.indexes)
+                    None, job.ledger.run_chunk, list(chunk.indexes)
                 )
             except Exception as exc:
                 self._fail_job(job, f"solo execution: {type(exc).__name__}: {exc}")
@@ -488,64 +441,42 @@ class CoordinatorServer:
         plan mismatches are skipped silently (the duplicate is already
         durable, the mismatch will re-run).
         """
-        fresh = 0
-        for entry in entries:
-            i = entry.get("i")
-            if not isinstance(i, int) or not 0 <= i < job.n_trials:
-                continue
-            if job.records[i] is not None:
-                continue
-            site = job.sites[i]
-            if not entry_matches_site(entry, site, job.site_index[i]):
-                continue
-            record = record_from_entry(entry, site, f"service job {job.id}")
-            job.records[i] = record
-            job.checkpoint.append(i, site, job.site_index[i], record)
-            job.done_count += 1
-            fresh += 1
+        fresh = sum(job.ledger.commit(entry) is not None for entry in entries)
         if not fresh:
             return 0
         self._counter("ipas_service_trials_committed_total").inc(fresh)
         # Durable before anything observes the commit: the flush precedes
         # the ack-ok, the watcher notification, and — deliberately — the
         # chaos kill, which therefore models a crash-after-durable.
-        job.checkpoint.flush()
+        job.ledger.flush()
         self._notify(
             job,
             {
                 "op": "progress",
                 "job": job.id,
-                "done": job.done_count,
+                "done": job.done,
                 "n_trials": job.n_trials,
             },
         )
         if self.chaos is not None:
             for _ in range(fresh):
                 self.chaos.on_commit()
-        if job.done_count == job.n_trials and job.state == "running":
+        if job.done == job.n_trials and job.state == "running":
             job.state = "finalizing"
             asyncio.get_running_loop().create_task(self._finalize(job))
         return fresh
 
     async def _finalize(self, job: Job) -> None:
-        if job.campaign is not None:
-            try:
-                # Same static-vs-dynamic consistency sweep the in-process
-                # engine runs after assembly.
-                await asyncio.get_running_loop().run_in_executor(
-                    None,
-                    sanitize_records,
-                    job.records,
-                    job.campaign.interp.module,
-                )
-            except Exception as exc:
-                self._fail_job(job, f"sanitize: {type(exc).__name__}: {exc}")
-                return
-        job.checkpoint.close()
-        job.result_entries = [
-            trial_entry(i, job.sites[i], job.site_index[i], job.records[i])
-            for i in range(job.n_trials)
-        ]
+        try:
+            # Same static-vs-dynamic consistency sweep the in-process
+            # engine runs after assembly; seals the checkpoint.
+            await asyncio.get_running_loop().run_in_executor(
+                None, job.ledger.finish
+            )
+        except Exception as exc:
+            self._fail_job(job, f"sanitize: {type(exc).__name__}: {exc}")
+            return
+        job.result_entries = job.ledger.entries()
         job.state = "done"
         self.journal.record_done(job.id)
         self._counter("ipas_service_jobs_completed_total").inc()
@@ -558,8 +489,8 @@ class CoordinatorServer:
     def _fail_job(self, job: Job, error: str) -> None:
         job.state = "failed"
         job.error = error
-        if job.checkpoint is not None:
-            job.checkpoint.close()
+        if job.ledger is not None:
+            job.ledger.close()
         self._notify(job, {"op": "failed", "job": job.id, "error": error})
 
     def _notify(self, job: Job, event: Dict) -> None:

@@ -26,6 +26,7 @@ from repro.faults import (
     verify_checkpoint,
 )
 from repro.faults.chaos import ChaosMonkey, corrupt_checkpoint, parse_chaos_spec
+from repro.faults.parallel import sealed_line
 from repro.interp import Interpreter
 
 KERNEL = """
@@ -121,7 +122,8 @@ class TestHungWorker:
             hang_at={6: 60.0}, state_dir=str(tmp_path / "chaos")
         )
         result = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, trial_timeout=1.0, chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(trial_timeout=1.0), chaos=chaos,
         )
         assert_identical(result, serial_baseline)
         stats = result.stats
@@ -137,7 +139,8 @@ class TestQuarantine:
             kill_at=[9], once=False, state_dir=str(tmp_path / "chaos")
         )
         result = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, max_retries=1, chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(max_retries=1), chaos=chaos,
         )
         poisoned = result.records[9]
         assert poisoned.outcome is Outcome.TRIAL_FAILURE
@@ -158,7 +161,8 @@ class TestQuarantine:
         )
         path = str(tmp_path / "ck.jsonl")
         first = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, max_retries=0,
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(max_retries=0),
             checkpoint_path=path, chaos=chaos,
         )
         assert first.records[3].outcome is Outcome.TRIAL_FAILURE
@@ -191,7 +195,8 @@ class TestPoolCollapse:
     ):
         chaos = ChaosMonkey(kill_at=[4], state_dir=str(tmp_path / "chaos"))
         result = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, on_worker_failure="serial", chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(on_worker_failure="serial"), chaos=chaos,
         )
         assert_identical(result, serial_baseline)
         assert result.stats.serial_fallback
@@ -206,7 +211,9 @@ class TestAbortPolicy:
         chaos = ChaosMonkey(kill_at=[5], state_dir=str(tmp_path / "chaos"))
         with pytest.raises(WorkerFailureError):
             make_campaign().run(
-                N_TRIALS, seed=SEED, n_jobs=2, on_worker_failure="abort", chaos=chaos
+                N_TRIALS, seed=SEED, n_jobs=2,
+                supervision=SupervisorPolicy(on_worker_failure="abort"),
+                chaos=chaos,
             )
 
 
@@ -337,6 +344,58 @@ class TestVerifyCheckpoint:
         assert not report["exists"]
         assert report["error"]
 
+    @pytest.mark.parametrize(
+        "damage", ["garble", "truncate", "torn-header", "foreign"]
+    )
+    def test_recoverable_matches_load(self, tmp_path, damage):
+        # verify_checkpoint reports what a resume would recover, so its
+        # count must agree with what the resume path actually loads.
+        path = str(tmp_path / "ck.jsonl")
+        make_campaign().run(N_TRIALS, seed=SEED, checkpoint_path=path)
+        fingerprint = campaign_fingerprint(make_campaign(), N_TRIALS, SEED)
+        if damage == "garble":
+            corrupt_checkpoint(path, mode="garble", line=3)
+        elif damage == "truncate":
+            corrupt_checkpoint(path, mode="truncate", line=-1)
+        elif damage == "torn-header":
+            corrupt_checkpoint(path, mode="truncate", line=0)
+        else:
+            fingerprint = "somebody-else"
+        report = verify_checkpoint(
+            path, fingerprint=fingerprint, n_trials=N_TRIALS, seed=SEED
+        )
+        checkpoint = CampaignCheckpoint(path, fingerprint, N_TRIALS, SEED)
+        with pytest.warns(CheckpointWarning):
+            loaded = checkpoint.load()
+        assert report["recoverable"] == len(loaded)
+
+    def test_unknown_outcome_excluded_from_recoverable(self, tmp_path):
+        # A record with an outcome this engine does not know: a resume
+        # refuses the file loudly, and verify counts every other record
+        # as recoverable while naming the offending line.
+        path = str(tmp_path / "ck.jsonl")
+        make_campaign().run(N_TRIALS, seed=SEED, checkpoint_path=path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        entry = json.loads(lines[2])
+        del entry["crc"]
+        entry["outcome"] = "exotic"
+        lines[2] = sealed_line(entry)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        fingerprint = campaign_fingerprint(make_campaign(), N_TRIALS, SEED)
+        report = verify_checkpoint(
+            path, fingerprint=fingerprint, n_trials=N_TRIALS, seed=SEED
+        )
+        assert report["unknown_outcomes"] == [{"line": 3, "outcome": "exotic"}]
+        with pytest.raises(ValueError, match=r"ck\.jsonl:3"):
+            CampaignCheckpoint(path, fingerprint, N_TRIALS, SEED).load()
+        del lines[2]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        loaded = CampaignCheckpoint(path, fingerprint, N_TRIALS, SEED).load()
+        assert report["recoverable"] == len(loaded) == N_TRIALS - 1
+
     def test_reports_unreadable_header(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         make_campaign().run(N_TRIALS, seed=SEED, checkpoint_path=path)
@@ -399,3 +458,22 @@ class TestChaosSpec:
         clone = ChaosMonkey(hang_at={4: 0.0}, state_dir=str(tmp_path))
         clone.arm()
         assert not clone._fire_once("hang", 4)
+
+
+class TestSupervisorPolicyResolve:
+    def test_overrides_layer_over_policy(self):
+        base = SupervisorPolicy(trial_timeout=5.0, max_respawns=3)
+        assert SupervisorPolicy.resolve(base) is base
+        assert SupervisorPolicy.resolve(base, max_retries=None) is base
+        merged = SupervisorPolicy.resolve(base, on_worker_failure="serial")
+        assert merged.on_worker_failure == "serial"
+        assert merged.trial_timeout == 5.0
+        assert merged.max_respawns == 3
+
+    def test_environment_is_the_default(self, monkeypatch):
+        monkeypatch.setenv("IPAS_MAX_RETRIES", "5")
+        monkeypatch.setenv("IPAS_ON_WORKER_FAILURE", "abort")
+        policy = SupervisorPolicy.resolve(None, trial_timeout=2.0)
+        assert policy.max_retries == 5
+        assert policy.on_worker_failure == "abort"
+        assert policy.trial_timeout == 2.0

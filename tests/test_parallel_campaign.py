@@ -16,11 +16,10 @@ from repro.faults import (
     CampaignCheckpoint,
     CampaignStats,
     Outcome,
-    TrialRecord,
     campaign_fingerprint,
-    injectable_instructions,
     resolve_jobs,
 )
+from repro.faults.parallel import entry_matches_site, record_from_entry, trial_entry
 from repro.interp import Interpreter
 
 KERNEL = """
@@ -183,25 +182,31 @@ class TestTrialRecordSerialization:
     def test_round_trip(self):
         campaign = make_campaign()
         result = campaign.run(10, seed=1)
-        module = campaign.interp.module
-        eligible = injectable_instructions(module)
-        for record in result.records:
-            data = record.to_dict()
-            json.dumps(data)  # must be JSON-compatible
-            back = TrialRecord.from_dict(data, module)
-            assert back.site.instruction is record.site.instruction
+        for i, record in enumerate(result.records):
+            site = record.site
+            entry = trial_entry(i, site, campaign.site_index(site), record)
+            wire = json.loads(json.dumps(entry))  # must be JSON-compatible
+            assert wire == entry
+            assert entry_matches_site(wire, site, campaign.site_index(site))
+            back = record_from_entry(wire, site, "test")
+            assert back.site is site
             assert record_key(back) == record_key(record)
-            # bulk form takes the precomputed site list
-            again = TrialRecord.from_dict(data, eligible)
-            assert again.site.instruction is record.site.instruction
 
-    def test_opcode_mismatch_rejected(self):
+    def test_foreign_site_rejected(self):
+        # An entry whose identity fields disagree with the plan slot it
+        # claims (here: another trial's site) is refused, never decoded.
         campaign = make_campaign()
         result = campaign.run(4, seed=1)
-        data = result.records[0].to_dict()
-        data["opcode"] = "definitely-not-an-opcode"
-        with pytest.raises(ValueError):
-            TrialRecord.from_dict(data, campaign.interp.module)
+        sites = [r.site for r in result.records]
+        entry = trial_entry(
+            0, sites[0], campaign.site_index(sites[0]), result.records[0]
+        )
+        other = next(s for s in sites[1:] if site_key(s) != site_key(sites[0]))
+        assert not entry_matches_site(entry, other, campaign.site_index(other))
+        bumped = dict(entry, bit=entry["bit"] + 1)
+        assert not entry_matches_site(
+            bumped, sites[0], campaign.site_index(sites[0])
+        )
 
 
 class TestStats:

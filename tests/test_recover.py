@@ -16,7 +16,12 @@ import pytest
 
 from repro import compile_source
 from repro.faults import Campaign, Outcome, OutcomeCounts, TrialRecord, parse_outcome
-from repro.faults.parallel import _seal, verify_checkpoint
+from repro.faults.parallel import (
+    _seal,
+    record_from_entry,
+    trial_entry,
+    verify_checkpoint,
+)
 from repro.interp import Interpreter
 from repro.interp.errors import DetectedByDuplication
 from repro.ir.instructions import CallInst
@@ -73,7 +78,7 @@ def record_key(record):
         record.outcome,
         record.status,
         record.cycles,
-        rec.as_wire() if rec is not None else None,
+        rec.as_dict() if rec is not None else None,
     )
 
 
@@ -352,24 +357,33 @@ class TestSerialization:
             for s in campaign.sample_trials(30, seed=3)
             if campaign.run_site(s).outcome is Outcome.CORRECTED
         )
-        data = record.to_dict()
-        restored = TrialRecord.from_dict(data, campaign.interp.module)
+        site = record.site
+        entry = trial_entry(0, site, campaign.site_index(site), record)
+        entry = json.loads(json.dumps(entry))
+        restored = record_from_entry(entry, site, "test")
         assert restored.outcome is Outcome.CORRECTED
         assert restored.recovery is not None
         assert restored.recovery.as_dict() == record.recovery.as_dict()
+        # Every telemetry field, escalation reason included, survives the
+        # entry codec that carries it across the worker pipe.
+        telemetry = RecoveryTelemetry(3, 2, 500, 300, 1, "tainted")
+        escalated = TrialRecord(
+            site, Outcome.DETECTED, "detected", 9, recovery=telemetry
+        )
+        entry = json.loads(json.dumps(trial_entry(1, site, 0, escalated)))
+        back = record_from_entry(entry, site, "test").recovery
+        assert back.as_dict() == telemetry.as_dict()
+        assert back.escalation_reason == "tainted"
 
     def test_trial_record_unknown_outcome_raises(self):
         campaign = make_campaign()
         campaign.prepare()
-        record = campaign.run_site(campaign.sample_trials(1, seed=3)[0])
-        data = record.to_dict()
-        data["outcome"] = "exotic"
+        site = campaign.sample_trials(1, seed=3)[0]
+        record = campaign.run_site(site)
+        entry = trial_entry(0, site, campaign.site_index(site), record)
+        entry["outcome"] = "exotic"
         with pytest.raises(ValueError, match="unknown outcome 'exotic'"):
-            TrialRecord.from_dict(data, campaign.interp.module)
-
-    def test_telemetry_wire_round_trip(self):
-        t = RecoveryTelemetry(3, 2, 500, 300, 1, "tainted")
-        assert RecoveryTelemetry.from_wire(t.as_wire()).as_dict() == t.as_dict()
+            record_from_entry(entry, site, "test")
 
 
 class TestCheckpointForwardCompat:

@@ -17,6 +17,7 @@ from repro.faults import (
     CampaignStats,
     CheckpointWarning,
     Outcome,
+    SupervisorPolicy,
     TrialRecord,
     campaign_fingerprint,
     fork_available,
@@ -79,7 +80,7 @@ def record_key(record):
         record.outcome,
         record.status,
         record.cycles,
-        record.recovery.as_wire() if record.recovery is not None else None,
+        record.recovery.as_dict() if record.recovery is not None else None,
     )
 
 
@@ -209,13 +210,39 @@ class TestRecoveryPath:
         assert warm.stats.golden_resyncs == 0  # resync is off under recovery
         assert warm.stats.warm_restores > 0
 
+    @needs_fork
+    def test_stats_identical_across_worker_counts(self):
+        # Everything the stats ledger derives from trial results — outcome
+        # tallies, warm-start and recovery telemetry — must survive the
+        # worker wire unchanged.  Wall-clock, harness and n_jobs fields
+        # legitimately differ between the two runs.
+        trials, seed = 40, 7
+        timing = {
+            "n_jobs", "elapsed_seconds", "trials_per_second",
+            "worker_utilization", "busy_seconds", "latency_mean_ms",
+            "latency_max_ms", "latency_histograms", "harness",
+        }
+
+        def ledger(n_jobs):
+            result = self._campaign(warm_start=True).run(
+                trials, seed=seed, n_jobs=n_jobs
+            )
+            data = result.stats.as_dict()
+            return {k: v for k, v in data.items() if k not in timing}
+
+        serial, sharded = ledger(1), ledger(2)
+        assert serial == sharded
+        assert serial["recovery"]["corrected"] >= 1
+        assert serial["warm_start"]["restores"] > 0
+
 
 @needs_fork
 class TestHarnessPaths:
     def test_poisoned_trial_quarantined_warm(self, tmp_path):
         chaos = ChaosMonkey(kill_at=[9], once=False, state_dir=str(tmp_path / "c"))
         result = make_campaign(warm_start=True).run(
-            N_TRIALS, seed=SEED, n_jobs=2, max_retries=1, chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(max_retries=1), chaos=chaos,
         )
         assert result.records[9].outcome is Outcome.TRIAL_FAILURE
         assert result.counts.counts[Outcome.TRIAL_FAILURE] == 1
