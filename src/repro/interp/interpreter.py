@@ -46,6 +46,7 @@ from .errors import (
     Trap,
     UnreachableExecuted,
 )
+from .runtime import MAX_CALL_DEPTH
 
 
 class SerialMpi:
@@ -133,15 +134,15 @@ class Interpreter:
     __slots__ = (
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
         "global_overrides", "_cells_template", "_reset_image", "cells", "sp",
-        "cycles", "budget", "ret", "depth", "prof", "output_log", "inj_cfi",
-        "inj_fns", "inj_seen", "inj_occ", "inj_hit", "inj_inst",
-        "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
+        "cycles", "budget", "ret", "depth", "prof", "output_log", "tables",
+        "block_tables", "inj_seen", "inj_occ", "inj_hit", "inj_inst",
+        "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
         "_resume_next",
     )
 
     DEFAULT_STACK_CELLS = 1 << 16
-    DEFAULT_MAX_DEPTH = 2000
+    DEFAULT_MAX_DEPTH = MAX_CALL_DEPTH
     NO_BUDGET = 1 << 62
 
     def __init__(
@@ -181,13 +182,15 @@ class Interpreter:
         self.depth = 0
         self.prof: Optional[List[int]] = None
         self.output_log: List = []
-        self.inj_cfi = -1
-        self.inj_fns: Optional[List[Callable]] = None
+        #: this run's dispatch tables per function: ``tables`` (lean, with
+        #: loop units) for :meth:`call`, ``block_tables`` (one function per
+        #: block) for :meth:`_call_tracked`; injection swaps entries
+        self.tables: List[List[Callable]] = []
+        self.block_tables: List[List[Callable]] = []
         self.inj_seen = 0
         self.inj_occ = 0
         self.inj_hit = False
         self.inj_inst = None
-        self.inj_bi = -1
         self.inj_mode = "once"
         self.inj_fire: Optional[Callable] = None
         self.inj_corrupt: Optional[Callable] = None
@@ -248,13 +251,12 @@ class Interpreter:
         self.depth = 0
         self.prof = None
         self.output_log = []
-        self.inj_cfi = -1
-        self.inj_fns = None
+        self.tables = [cf.lean_fns for cf in self.cfuncs]
+        self.block_tables = [cf.block_fns for cf in self.cfuncs]
         self.inj_seen = 0
         self.inj_occ = 0
         self.inj_hit = False
         self.inj_inst = None
-        self.inj_bi = -1
         self.inj_mode = "once"
         self.inj_fire = None
         self.inj_corrupt = None
@@ -312,17 +314,21 @@ class Interpreter:
             inst = injection.instruction
             if injection.occurrence < 1:
                 raise ValueError("occurrence is 1-based")
-            cfi, bi, fn = self.cm.injected_block_fn(inst, mode=injection.mode)
+            block, lean = self.cm.injection_tables(inst, mode=injection.mode)
             self.inj_occ = injection.occurrence
             self.inj_mode = injection.mode
             self.inj_corrupt = injection.corrupt
             self.inj_fire = injection.fire
-            fns = list(self.cfuncs[cfi].block_fns)
-            fns[bi] = fn
-            self.inj_cfi = cfi
-            self.inj_fns = fns
             self.inj_inst = inst
-            self.inj_bi = bi
+            _swap(self.block_tables, *block)
+            for cfi, bi, fn in lean:
+                cf = self.cfuncs[cfi]
+                if cf.lean_fns is cf.block_fns:
+                    # Fusion is off for this function (a BlockProfiler is
+                    # armed): its lean table is the per-block table.
+                    self.tables[cfi] = self.block_tables[cfi]
+                else:
+                    _swap(self.tables, cfi, bi, fn)
         if recovery is not None:
             plan = self._rec_plans.get(entry)
             if plan is None:
@@ -408,23 +414,23 @@ class Interpreter:
         """Invoke compiled function ``cfi`` (used by generated call steps).
 
         This is the block-dispatch hot loop: attribute lookups are hoisted
-        into locals and the loop body is a single indexed call per block.
-        With recovery and tracking disabled (``self.rec is None and
-        self.trk is None``, the default) the loop is byte-identical to the
-        historical one bar the single delegation test below.
+        into locals and the loop body is a single indexed call per entry of
+        the run's lean table — a block function, or a loop unit that runs a
+        whole innermost loop before returning its exit successor.  With
+        recovery or tracking armed every call goes to :meth:`_call_tracked`
+        instead.
         """
         if self.rec is not None or self.trk is not None:
             return self._call_tracked(cfi, args)
         depth = self.depth + 1
-        if depth > self.DEFAULT_MAX_DEPTH:
-            raise StackOverflow("call depth limit exceeded")
+        if depth > MAX_CALL_DEPTH:
+            self.trap_depth()
         self.depth = depth
         sp0 = self.sp
-        cf = self.cfuncs[cfi]
-        frame: List = [None] * cf.nslots
+        frame: List = [None] * self.cfuncs[cfi].nslots
         if args:
             frame[: len(args)] = args
-        fns = cf.block_fns if cfi != self.inj_cfi else self.inj_fns
+        fns = self.tables[cfi]
         bi = fns[0](frame, self)
         while bi >= 0:
             bi = fns[bi](frame, self)
@@ -435,8 +441,8 @@ class Interpreter:
     def _call_tracked(self, cfi: int, args: Tuple, _resume=None) -> object:
         """Recovery/tracking-aware twin of :meth:`call`.
 
-        Same dispatch loop, plus up to three responsibilities depending on
-        what is armed:
+        Same dispatch loop over the per-block tables (``block_tables``),
+        plus up to three responsibilities depending on what is armed:
 
         * **recovery** (``self.rec``): capture a region snapshot whenever
           control reaches one of this function's region boundaries, and
@@ -464,12 +470,16 @@ class Interpreter:
         :meth:`resume_call` (chaining to the next warm frame), and falls
         through to the normal dispatch loop — with no cycle recharge, since
         the block was charged at entry before the rung was captured.
+
+        Once nothing is armed for the frame (no recovery policy, and no
+        ladder capture or resync — never armed, or detached by
+        :meth:`_try_resync`), the frame finishes on the run's lean table.
         """
         rec = self.rec
         trk = self.trk
         depth = self.depth + 1
-        if depth > self.DEFAULT_MAX_DEPTH:
-            raise StackOverflow("call depth limit exceeded")
+        if depth > MAX_CALL_DEPTH:
+            self.trap_depth()
         self.depth = depth
         resume_fn = None
         mine: Optional[Snapshot] = None
@@ -515,32 +525,33 @@ class Interpreter:
                     cfi,
                     bi,
                     wf.call_k,
-                    self.inj_inst
-                    if cfi == self.inj_cfi and bi == self.inj_bi
-                    else None,
+                    self.inj_inst,
                     mode=self.inj_mode,
                 )
-        fns = cf.block_fns if cfi != self.inj_cfi else self.inj_fns
+        fns = self.block_tables[cfi]
         record = None
         if trk is not None:
             if trk.frames and _resume is None:
                 trk.frames[-1][2] += 1  # the parent initiated one more call
             record = [cfi, bi, call_k, frame, sp0, mine]
             trk.frames.append(record)
-        if rec is None and trk is not None and not trk.capturing:
-            # Resync-only warm trial: no recovery policy means no
-            # RollbackSignal can reach this frame, so the loop needs no
-            # try/except and no snapshot logic — it runs the entire trial
-            # suffix, so every avoided per-block instruction matters.
+        if rec is None and (trk is None or not trk.capturing):
+            # Resync-only warm trial (or a warm resume with nothing armed):
+            # no recovery policy means no RollbackSignal can reach this
+            # frame, so the loop needs no try/except and no snapshot logic
+            # — it runs the entire trial suffix, so every avoided per-block
+            # instruction matters.
             try:
                 if resume_fn is not None:
                     bi = resume_fn(frame, self)
                 while bi >= 0:
                     if self.trk is None:
                         # Resync gave up (or ran out of rungs) somewhere
-                        # below this frame: finish at full lean-loop speed.
+                        # below this frame, or was never armed: finish on
+                        # the lean table, loop units included.
+                        lean = self.tables[cfi]
                         while bi >= 0:
-                            bi = fns[bi](frame, self)
+                            bi = lean[bi](frame, self)
                         break
                     record[1] = bi
                     record[2] = 0
@@ -554,7 +565,8 @@ class Interpreter:
                                     break
                     bi = fns[bi](frame, self)
             finally:
-                trk.frames.pop()
+                if trk is not None:
+                    trk.frames.pop()
             self.depth = depth - 1
             self.sp = sp0
             return self.ret
@@ -901,6 +913,9 @@ class Interpreter:
     def hang(self) -> None:
         raise HangDetected(f"exceeded cycle budget {self.budget}")
 
+    def trap_depth(self) -> None:
+        raise StackOverflow("call depth limit exceeded")
+
     def check_failed(self, site: int = -1) -> None:
         """A duplication check diverged (called from generated code).
 
@@ -978,6 +993,13 @@ class Interpreter:
 
     def mpi_sendrecv_f64(self, send_addr, recv_addr, count, peer) -> None:
         self.mpi.sendrecv(self, send_addr, recv_addr, count, peer)
+
+
+def _swap(tables: List[List[Callable]], cfi: int, bi: int, fn: Callable) -> None:
+    """Point entry ``bi`` of function ``cfi`` at ``fn`` in a per-run copy."""
+    table = list(tables[cfi])
+    table[bi] = fn
+    tables[cfi] = table
 
 
 def run_module(

@@ -107,6 +107,10 @@ def double_to_int_bits(x: float) -> int:
     return u
 
 
+#: interpreted call-depth limit (deeper calls trap with StackOverflow)
+MAX_CALL_DEPTH = 2000
+
+
 #: names injected into the namespace of every compiled block
 EXEC_GLOBALS: Dict[str, object] = {
     "__builtins__": {

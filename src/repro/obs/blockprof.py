@@ -4,16 +4,19 @@ The interpreter already attributes *cycles* per block for free: a
 profiled run counts executions per global block id (``RunResult.profile``)
 and every compiled block carries its static cycle cost.  Wall time is the
 missing half — Python-level block closures have wildly different real
-costs per simulated cycle — and it is what the ROADMAP's superblock-fusion
-item needs to pick fusion candidates.
+costs per simulated cycle.
 
 Like fault injection, profiling works by *swapping compiled block
-functions*: :class:`BlockProfiler` replaces every ``CompiledFunction``'s
-``block_fns`` table with timing wrappers while active and restores the
-originals on exit.  The dispatch hot loop is untouched — with the
-profiler disarmed the interpreter executes the exact same closures as
-before, so disabled-mode overhead is zero by construction (the same
-property the injection trap points have).
+functions*: :class:`BlockProfiler` replaces both dispatch tables of every
+``CompiledFunction`` — ``block_fns`` and the lean ``lean_fns`` — with one
+table of per-block timing wrappers while active and restores the originals
+on exit.  Loop fusion is therefore off while profiling: every block is
+dispatched (and timed) on its own, so hits and wall time stay per block.
+The dispatch hot loop is untouched — with the profiler disarmed the
+interpreter executes the exact same closures as before, so disabled-mode
+overhead is zero by construction (the same property the injection trap
+points have).  Tables are picked up when a run starts, so arm the profiler
+before ``run()``.
 
 Timing wrappers do perturb *wall-clock* numbers (each block pays two
 ``perf_counter`` calls) but never simulated state: cycle counts, outputs,
@@ -45,7 +48,7 @@ class BlockProfiler:
         self.cm = cm
         self.wall: List[float] = [0.0] * cm.total_blocks
         self.hits: List[int] = [0] * cm.total_blocks
-        self._saved: Optional[List[List]] = None
+        self._saved: Optional[List] = None
 
     def _wrap(self, fn, gid: int):
         wall = self.wall
@@ -69,8 +72,8 @@ class BlockProfiler:
             raise RuntimeError("another BlockProfiler is armed on this module")
         self._saved = []
         for cf in self.cm.cfuncs:
-            self._saved.append(cf.block_fns)
-            cf.block_fns = [
+            self._saved.append((cf.block_fns, cf.lean_fns))
+            cf.block_fns = cf.lean_fns = [
                 self._wrap(fn, block.gid)
                 for fn, block in zip(cf.block_fns, cf.blocks)
             ]
@@ -79,8 +82,9 @@ class BlockProfiler:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self._saved is not None
-        for cf, fns in zip(self.cm.cfuncs, self._saved):
-            cf.block_fns = fns
+        for cf, (block_fns, lean_fns) in zip(self.cm.cfuncs, self._saved):
+            cf.block_fns = block_fns
+            cf.lean_fns = lean_fns
         self._saved = None
         self.cm._block_profiler_armed = False
 
