@@ -21,14 +21,14 @@ Semantics implemented exactly:
   a corruption closure the fault model supplies.
 
 Every function gets two dispatch tables.  ``block_fns`` holds one function
-per block; the tracked dispatch loop (recovery, ladder capture, resync,
-warm resume) runs on it.  ``lean_fns`` is the same table with the header of
-every innermost natural loop replaced by a *loop unit*: one generated
-function that runs the whole loop in a local ``while``, keeps the SSA values
-it touches in Python locals, and inlines calls to single-block leaf
-functions.  Units charge cycles, check the budget, and bump the profile per
-constituent block exactly as the block functions do, so both tables produce
-bit-identical runs.
+per block; the armed path of ``Interpreter.call`` (recovery, ladder
+capture, resync, warm resume) runs on it.  ``lean_fns`` is the same table
+with the header of every innermost natural loop replaced by a *loop unit*:
+one generated function that runs the whole loop in a local ``while``, keeps
+the SSA values it touches in Python locals, and inlines calls to
+single-block leaf functions.  Units charge cycles, check the budget, and
+bump the profile per constituent block exactly as the block functions do,
+so both tables produce bit-identical runs.
 
 Fault injection works by swapping in alternative compiled versions of the
 functions that hold the target instruction: its block, the unit holding
@@ -98,7 +98,7 @@ class CompiledFunction:
         self.nslots = 0
         self.nargs = len(fn.args)
         self.blocks: List[CompiledBlock] = []
-        #: one function per block (tracked dispatch)
+        #: one function per block (armed dispatch path)
         self.block_fns: List[Callable] = []
         #: ``block_fns`` with every loop-unit header mapped to its unit
         self.lean_fns: List[Callable] = []

@@ -13,6 +13,7 @@ campaigns.
 
 from __future__ import annotations
 
+import copy
 from math import copysign as _copysign
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -182,9 +183,10 @@ class Interpreter:
         self.depth = 0
         self.prof: Optional[List[int]] = None
         self.output_log: List = []
-        #: this run's dispatch tables per function: ``tables`` (lean, with
-        #: loop units) for :meth:`call`, ``block_tables`` (one function per
-        #: block) for :meth:`_call_tracked`; injection swaps entries
+        #: this run's dispatch tables per function, both driven by
+        #: :meth:`call`: ``tables`` (lean, with loop units) when nothing is
+        #: armed, ``block_tables`` (one function per block) when recovery,
+        #: tracking or a warm resume is; injection swaps entries
         self.tables: List[List[Callable]] = []
         self.block_tables: List[List[Callable]] = []
         self.inj_seen = 0
@@ -410,39 +412,26 @@ class Interpreter:
             warm_index=warm_index,
         )
 
-    def call(self, cfi: int, args: Tuple) -> object:
-        """Invoke compiled function ``cfi`` (used by generated call steps).
+    def call(self, cfi: int, args: Tuple, _resume=None) -> object:
+        """Invoke compiled function ``cfi``: the one dispatch function.
 
-        This is the block-dispatch hot loop: attribute lookups are hoisted
-        into locals and the loop body is a single indexed call per entry of
-        the run's lean table — a block function, or a loop unit that runs a
-        whole innermost loop before returning its exit successor.  With
-        recovery or tracking armed every call goes to :meth:`_call_tracked`
-        instead.
-        """
-        if self.rec is not None or self.trk is not None:
-            return self._call_tracked(cfi, args)
-        depth = self.depth + 1
-        if depth > MAX_CALL_DEPTH:
-            self.trap_depth()
-        self.depth = depth
-        sp0 = self.sp
-        frame: List = [None] * self.cfuncs[cfi].nslots
-        if args:
-            frame[: len(args)] = args
-        fns = self.tables[cfi]
-        bi = fns[0](frame, self)
-        while bi >= 0:
-            bi = fns[bi](frame, self)
-        self.depth = depth - 1
-        self.sp = sp0
-        return self.ret
+        **Lean path.** With nothing armed (no recovery policy, no ladder
+        capture or resync, no warm frame to re-enter) the loop body is one
+        indexed call per entry of the run's lean table — a block function,
+        or a loop unit that runs a whole innermost loop before returning
+        its exit successor.  **Armed path.** Otherwise one loop runs over
+        ``block_tables`` and, before each block, only the armed hooks:
 
-    def _call_tracked(self, cfi: int, args: Tuple, _resume=None) -> object:
-        """Recovery/tracking-aware twin of :meth:`call`.
+        * **ladder capture** (``self.trk.capturing``, golden run only):
+          mirror the live call stack in ``trk.frames`` and capture a
+          full-state :class:`WarmSnapshot` rung at the configured cycle
+          stride and at region boundaries.
 
-        Same dispatch loop over the per-block tables (``block_tables``),
-        plus up to three responsibilities depending on what is armed:
+        * **golden resync** (``self.trk.resync_pts``, warm trials without
+          recovery): mirror the call stack and, once the injected flip has
+          fired, compare against upcoming golden rungs — a bit-exact match
+          raises :class:`GoldenResync` (the run's remaining execution
+          provably equals the golden suffix).
 
         * **recovery** (``self.rec``): capture a region snapshot whenever
           control reaches one of this function's region boundaries, and
@@ -453,27 +442,16 @@ class Interpreter:
           order and pop on return, so whenever a signal reaches a frame
           that holds a snapshot, that snapshot is the stack top.
 
-        * **ladder capture** (``self.trk.capturing``, golden run only):
-          mirror the live call stack in ``trk.frames`` and capture a
-          full-state :class:`WarmSnapshot` rung at the configured cycle
-          stride and at region boundaries.
-
-        * **golden resync** (``self.trk.resync_pts``, warm trials): mirror
-          the call stack and, once the injected flip has fired, compare
-          against upcoming golden rungs — a bit-exact match raises
-          :class:`GoldenResync` (the run's remaining execution provably
-          equals the golden suffix).
-
         ``_resume`` (a :class:`~repro.recover.warm.WarmFrame`) re-enters a
         suspended frame mid-block: a compiled *resume block* skips the
         already-executed prefix, re-issues the pending call via
         :meth:`resume_call` (chaining to the next warm frame), and falls
-        through to the normal dispatch loop — with no cycle recharge, since
-        the block was charged at entry before the rung was captured.
+        through to the dispatch loop — with no cycle recharge, since the
+        block was charged at entry before the rung was captured.
 
-        Once nothing is armed for the frame (no recovery policy, and no
-        ladder capture or resync — never armed, or detached by
-        :meth:`_try_resync`), the frame finishes on the run's lean table.
+        A frame with no recovery policy whose resync detached (given up by
+        :meth:`_try_resync`, here or in a callee) or was never armed
+        finishes on the lean table, loop units included.
         """
         rec = self.rec
         trk = self.trk
@@ -481,202 +459,157 @@ class Interpreter:
         if depth > MAX_CALL_DEPTH:
             self.trap_depth()
         self.depth = depth
-        resume_fn = None
-        mine: Optional[Snapshot] = None
         if _resume is None:
             sp0 = self.sp
-            cf = self.cfuncs[cfi]
-            frame: List = [None] * cf.nslots
+            frame: List = [None] * self.cfuncs[cfi].nslots
             if args:
                 frame[: len(args)] = args
             bi = 0
+        if rec is not None or trk is not None or _resume is not None:
+            mine: Optional[Snapshot] = None
+            resume_fn = None
             call_k = 0
-        else:
-            wf = _resume
-            cfi = wf.cfi
-            bi = wf.bi
-            sp0 = wf.sp0
-            cf = self.cfuncs[cfi]
-            frame = list(wf.regs)
-            if rec is not None and wf.rec_mine is not None:
-                # Restore this frame's live recovery snapshot as a fresh
-                # copy (trials must never mutate the shared ladder); the
-                # pinned flag is the one frozen at capture time — pin()
-                # mutates snapshots after the fact.
-                src = wf.rec_mine
-                mine = Snapshot(
-                    src.cfi,
-                    src.bi,
-                    src.cells,
-                    src.sp,
-                    src.cycles,
-                    src.frame,
-                    src.out_len,
-                    src.inj_seen,
-                    src.tainted,
-                )
-                mine.pinned = wf.rec_pinned
-                rec.stack.append(mine)
-            if wf.call_k is None:
-                call_k = 0  # innermost frame: re-enter the loop at bi
-            else:
-                call_k = wf.call_k + 1  # the pending call counts as made
-                resume_fn = self.cm.resume_block_fn(
-                    cfi,
-                    bi,
-                    wf.call_k,
-                    self.inj_inst,
-                    mode=self.inj_mode,
-                )
-        fns = self.block_tables[cfi]
-        record = None
-        if trk is not None:
-            if trk.frames and _resume is None:
-                trk.frames[-1][2] += 1  # the parent initiated one more call
-            record = [cfi, bi, call_k, frame, sp0, mine]
-            trk.frames.append(record)
-        if rec is None and (trk is None or not trk.capturing):
-            # Resync-only warm trial (or a warm resume with nothing armed):
-            # no recovery policy means no RollbackSignal can reach this
-            # frame, so the loop needs no try/except and no snapshot logic
-            # — it runs the entire trial suffix, so every avoided per-block
-            # instruction matters.
+            if _resume is not None:
+                wf = _resume
+                cfi, bi, sp0 = wf.cfi, wf.bi, wf.sp0
+                frame = list(wf.regs)
+                if rec is not None and wf.rec_mine is not None:
+                    # A fresh copy (trials must never mutate the shared
+                    # ladder) with the pinned flag frozen at capture time:
+                    # pin() mutates snapshots after the fact.
+                    mine = copy.copy(wf.rec_mine)
+                    mine.pinned = wf.rec_pinned
+                    rec.stack.append(mine)
+                if wf.call_k is not None:
+                    call_k = wf.call_k + 1  # the pending call counts as made
+                    resume_fn = self.cm.resume_block_fn(
+                        cfi, bi, wf.call_k, self.inj_inst, mode=self.inj_mode
+                    )
+            fns = self.block_tables[cfi]
+            record = None
+            if trk is not None:
+                if trk.frames and _resume is None:
+                    trk.frames[-1][2] += 1  # the parent initiated one more call
+                record = [cfi, bi, call_k, frame, sp0, mine]
+                trk.frames.append(record)
+            boundaries = rec.plan.get(cfi) if rec is not None else None
+            stack = rec.stack if rec is not None else None
+            capturing = trk is not None and trk.capturing
+            cap_boundaries = trk.plan.get(cfi) if capturing else None
             try:
-                if resume_fn is not None:
-                    bi = resume_fn(frame, self)
-                while bi >= 0:
-                    if self.trk is None:
-                        # Resync gave up (or ran out of rungs) somewhere
-                        # below this frame, or was never armed: finish on
-                        # the lean table, loop units included.
-                        lean = self.tables[cfi]
+                while True:
+                    try:
+                        if resume_fn is not None:
+                            fn = resume_fn
+                            resume_fn = None
+                            bi = fn(frame, self)
                         while bi >= 0:
-                            bi = lean[bi](frame, self)
+                            if record is not None:
+                                if self.trk is None:
+                                    break  # resync detached: finish lean
+                                record[1] = bi
+                                record[2] = 0
+                                if capturing:
+                                    c = self.cycles
+                                    if c >= trk.next_capture or (
+                                        cap_boundaries is not None
+                                        and bi in cap_boundaries
+                                        and c - trk.last_capture
+                                        >= trk.region_spacing
+                                    ):
+                                        trk.capture(self)
+                                elif self.inj_hit:
+                                    if self.cycles >= trk.next_resync:
+                                        # may raise GoldenResync
+                                        self._try_resync(trk)
+                                    else:
+                                        for snap, cregs in trk.cand:
+                                            if frame == cregs:
+                                                self._try_probe(trk, snap)
+                                                break
+                            elif rec is None:
+                                break  # warm resume with nothing armed
+                            if boundaries is not None and bi in boundaries and (
+                                rec.should_snapshot(self.cycles)
+                            ):
+                                # Only cells[:sp] are live state (any live
+                                # pointer is below sp), so snapshots scale
+                                # with the live stack, not the whole arena.
+                                snap = Snapshot(
+                                    cfi,
+                                    bi,
+                                    self.cells[: self.sp],
+                                    self.sp,
+                                    self.cycles,
+                                    list(frame),
+                                    len(self.output_log),
+                                    self.inj_seen,
+                                    self.inj_hit,
+                                )
+                                if mine is not None:
+                                    stack.pop()
+                                stack.append(snap)
+                                mine = snap
+                                if record is not None:
+                                    record[5] = snap
+                                rec.telemetry.snapshots += 1
+                                rec.last_snapshot_cycles = self.cycles
+                                if rec.policy.snapshot_cost:
+                                    self.cycles += rec.policy.snapshot_cost
+                            bi = fns[bi](frame, self)
                         break
-                    record[1] = bi
-                    record[2] = 0
-                    if self.inj_hit:
-                        if self.cycles >= trk.next_resync:
-                            self._try_resync(trk)  # may raise GoldenResync
-                        else:
-                            for snap, cregs in trk.cand:
-                                if frame == cregs:
-                                    self._try_probe(trk, snap)
-                                    break
-                    bi = fns[bi](frame, self)
-            finally:
-                if trk is not None:
-                    trk.frames.pop()
-            self.depth = depth - 1
-            self.sp = sp0
-            return self.ret
-        boundaries = rec.plan.get(cfi) if rec is not None else None
-        stack = rec.stack if rec is not None else None
-        capturing = trk is not None and trk.capturing
-        cap_boundaries = trk.plan.get(cfi) if capturing else None
-        resync = trk is not None and trk.resync_pts is not None
-        while True:
-            try:
-                if resume_fn is not None:
-                    fn = resume_fn
-                    resume_fn = None
-                    bi = fn(frame, self)
-                while bi >= 0:
-                    if record is not None:
-                        record[1] = bi
-                        record[2] = 0
-                    if capturing:
-                        c = self.cycles
-                        if c >= trk.next_capture or (
-                            cap_boundaries is not None
-                            and bi in cap_boundaries
-                            and c - trk.last_capture >= trk.region_spacing
-                        ):
-                            trk.capture(self)
-                    elif (
-                        resync
-                        and self.inj_hit
-                        and self.cycles >= trk.next_resync
-                    ):
-                        self._try_resync(trk)  # may raise GoldenResync
-                    if boundaries is not None and bi in boundaries and (
-                        rec.should_snapshot(self.cycles)
-                    ):
-                        # Only cells[:sp] are defined program state: cells
-                        # past sp are dead residue of returned frames, and
-                        # any live pointer is below sp — copying the prefix
-                        # keeps snapshots proportional to the live stack,
-                        # not the 64k-cell arena.
-                        snap = Snapshot(
-                            cfi,
-                            bi,
-                            self.cells[: self.sp],
-                            self.sp,
-                            self.cycles,
-                            list(frame),
-                            len(self.output_log),
-                            self.inj_seen,
-                            self.inj_hit,
-                        )
-                        if mine is not None:
+                    except RollbackSignal as signal:
+                        if mine is None:
+                            raise  # an enclosing frame owns the nearest snapshot
+                        reason = rec.on_detection(mine, self.cycles)
+                        if reason is not None:
                             stack.pop()
-                        stack.append(snap)
-                        mine = snap
-                        if record is not None:
-                            record[5] = snap
-                        rec.telemetry.snapshots += 1
-                        rec.last_snapshot_cycles = self.cycles
-                        if rec.policy.snapshot_cost:
-                            self.cycles += rec.policy.snapshot_cost
-                    bi = fns[bi](frame, self)
-                break
-            except RollbackSignal as signal:
-                if mine is None:
-                    raise  # some enclosing frame owns the nearest snapshot
-                reason = rec.on_detection(mine, self.cycles)
-                if reason is not None:
-                    stack.pop()
-                    mine = None
-                    if record is not None:
-                        record[5] = None
-                    if stack:
-                        raise  # escalate to the enclosing region
-                    raise DetectedByDuplication(
-                        f"{signal.check_name} failed for "
-                        f"{signal.instruction!r} at "
-                        f"{signal.function}:{signal.block} "
-                        f"(recovery escalated: {reason})",
-                        check_name=signal.check_name,
-                        function=signal.function,
-                        block=signal.block,
-                        instruction=signal.instruction,
-                    ) from None
-                # Roll back: nested frames were unwound by the signal, so
-                # restoring memory, sp, depth, and this frame's registers
-                # re-creates the snapshot instant exactly.  Cycles stay
-                # monotonic — wasted work counts toward the hang budget.
-                self.cells[: mine.sp] = mine.cells
-                self.sp = mine.sp
-                self.depth = depth
-                self.ret = None
-                del stack[stack.index(mine) + 1 :]
-                del self.output_log[mine.out_len :]
-                self.inj_seen = mine.inj_seen
-                if self.inj_hit:
-                    # Single-shot fault models: the corruption already
-                    # happened once; the re-execution must not replay it
-                    # (inj_seen restarts below inj_occ, so zeroing the
-                    # occurrence disarms the once epilogue).
-                    # Multi-shot injectors never reach this path —
-                    # check_failed fail-stops instead of signalling.
-                    self.inj_occ = 0
-                if trk is not None:
-                    del trk.frames[trk.frames.index(record) + 1 :]
-                bi = mine.bi
-        if mine is not None:
-            stack.pop()
-        if record is not None:
-            trk.frames.pop()
+                            mine = None
+                            if record is not None:
+                                record[5] = None
+                            if stack:
+                                raise  # escalate to the enclosing region
+                            raise DetectedByDuplication(
+                                f"{signal.check_name} failed for "
+                                f"{signal.instruction!r} at "
+                                f"{signal.function}:{signal.block} "
+                                f"(recovery escalated: {reason})",
+                                check_name=signal.check_name,
+                                function=signal.function,
+                                block=signal.block,
+                                instruction=signal.instruction,
+                            ) from None
+                        # Roll back: nested frames were unwound by the
+                        # signal (each popping its own trk.frames record),
+                        # so restoring memory, sp, depth, and this frame's
+                        # registers re-creates the snapshot instant exactly.
+                        # Cycles stay monotonic — wasted work counts toward
+                        # the hang budget.
+                        self.cells[: mine.sp] = mine.cells
+                        self.sp = mine.sp
+                        self.depth = depth
+                        self.ret = None
+                        del stack[stack.index(mine) + 1 :]
+                        del self.output_log[mine.out_len :]
+                        self.inj_seen = mine.inj_seen
+                        if self.inj_hit:
+                            # Single-shot fault models: the corruption
+                            # already happened once; the re-execution must
+                            # not replay it (inj_seen restarts below
+                            # inj_occ, so zeroing the occurrence disarms the
+                            # once epilogue).  Multi-shot injectors never
+                            # reach this path — check_failed fail-stops
+                            # instead of signalling.
+                            self.inj_occ = 0
+                        bi = mine.bi
+            finally:
+                if record is not None:
+                    trk.frames.pop()
+            if mine is not None:
+                stack.pop()
+        fns = self.tables[cfi]
+        while bi >= 0:
+            bi = fns[bi](frame, self)
         self.depth = depth - 1
         self.sp = sp0
         return self.ret
@@ -692,7 +625,7 @@ class Interpreter:
         """
         k = self._resume_next
         self._resume_next = k + 1
-        return self._call_tracked(0, (), _resume=self._resume_frames[k])
+        return self.call(0, (), self._resume_frames[k])
 
     def _resume_from(self, warm: WarmStart) -> object:
         """Restore a ladder rung and execute the suffix."""
@@ -708,8 +641,8 @@ class Interpreter:
             rec.telemetry.snapshots = snap.rec_snapshots
             rec.last_snapshot_cycles = snap.rec_last_cycles
         self._resume_frames = snap.frames
-        self._resume_next = 1
-        return self._call_tracked(0, (), _resume=snap.frames[0])
+        self._resume_next = 0
+        return self.resume_call()
 
     def capture_ladder(
         self,

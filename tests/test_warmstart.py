@@ -9,6 +9,8 @@ runtime's rollback telemetry and the harness paths (chaos kills,
 quarantine, checkpoint resume).
 """
 
+import functools
+
 import pytest
 
 from repro import compile_source
@@ -26,6 +28,7 @@ from repro.faults.chaos import ChaosMonkey, parse_chaos_spec
 from repro.faults.outcomes import OutcomeCounts
 from repro.interp import Interpreter
 from repro.recover import RecoveryPolicy, SnapshotLadder, WarmSnapshot, WarmStart
+from repro.recover.warm import _TrackState
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
 KERNEL = """
@@ -184,10 +187,10 @@ class TestRecoveryPath:
     telemetry must replay bit-identically (resync is disabled there)."""
 
     @staticmethod
-    def _campaign(warm_start=False):
+    def _campaign(warm_start=False, name="fft"):
         from repro.protect import FullDuplicationSelector, duplicate_instructions
 
-        workload = get_workload("fft")
+        workload = get_workload(name)
         module = workload.compile()
         duplicate_instructions(module, FullDuplicationSelector().select(module))
         return Campaign(
@@ -199,10 +202,13 @@ class TestRecoveryPath:
             warm_start=warm_start,
         )
 
-    def test_warm_equals_cold_with_recovery(self):
+    @pytest.mark.parametrize("name", ["fft", "comd"])
+    def test_warm_equals_cold_with_recovery(self, name):
+        # Rollbacks land in frames re-entered from the ladder, restoring
+        # the region snapshots copied out of the rung.
         trials, seed = 40, 7
-        cold = self._campaign().run(trials, seed=seed)
-        warm = self._campaign(warm_start=True).run(trials, seed=seed)
+        cold = self._campaign(name=name).run(trials, seed=seed)
+        warm = self._campaign(warm_start=True, name=name).run(trials, seed=seed)
         assert keys(warm) == keys(cold)
         assert cold.counts.counts[Outcome.CORRECTED] >= 1, (
             "seed must exercise the rollback path for this test to mean anything"
@@ -234,6 +240,36 @@ class TestRecoveryPath:
         assert serial == sharded
         assert serial["recovery"]["corrected"] >= 1
         assert serial["warm_start"]["restores"] > 0
+
+
+@functools.lru_cache(maxsize=None)
+def cold_keys(name, trials, seed):
+    return keys(make_workload_campaign(name).run(trials, seed=seed))
+
+
+class TestResyncGiveUp:
+    """A warm trial that gives up on golden resync detaches in whatever
+    frame missed its last rendezvous; that frame and every caller below it
+    finish on the lean table.  A low give-up threshold makes the hand-off
+    the common path instead of an incidental one."""
+
+    @pytest.mark.parametrize("max_fails", [1, 2])
+    @pytest.mark.parametrize("name", ["fft", "hpccg"])
+    def test_warm_equals_cold_after_give_up(self, name, max_fails, monkeypatch):
+        trials, seed = 30, 0
+        monkeypatch.setattr(_TrackState, "MAX_RESYNC_FAILS", max_fails)
+        give_ups = []
+        try_resync = Interpreter._try_resync
+
+        def counting_try_resync(interp, trk):
+            try_resync(interp, trk)
+            if interp.trk is None and trk.fails >= max_fails:
+                give_ups.append(trk.fails)
+
+        monkeypatch.setattr(Interpreter, "_try_resync", counting_try_resync)
+        warm = make_workload_campaign(name, warm_start=True).run(trials, seed=seed)
+        assert keys(warm) == cold_keys(name, trials, seed)
+        assert give_ups, "the seed must drive at least one trial to give up"
 
 
 @needs_fork
