@@ -10,6 +10,7 @@ F-score (Eq. 1), and keeps the top-N (N = 5) configurations for evaluation.
 from __future__ import annotations
 
 import random
+import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,29 +132,46 @@ class GridSearch:
         # full precision by the pipeline.
         self.cv_tol = cv_tol
         self.cv_max_iter = cv_max_iter
+        # Convergence record of the last search: CV fits run, and how many
+        # of them stopped at cv_max_iter (SVC.converged_ is False).
+        self.fits = 0
+        self.capped_fits = 0
 
     def search(self, X: np.ndarray, y: np.ndarray) -> List[SvmConfig]:
-        """All configurations, best F-score first (ties keep grid order)."""
+        """All configurations, best F-score first (ties keep grid order).
+
+        Warns once (``RuntimeWarning``) when any CV fit hit ``cv_max_iter``.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         sq = squared_distances(X, X)
         configs: List[SvmConfig] = []
+        self.fits = self.capped_fits = 0
         for C, gamma in self.grid:
-            score = cross_val_fscore(
-                lambda C=C, gamma=gamma: SVC(
+            models: List[SVC] = []
+
+            def make() -> SVC:
+                model = SVC(
                     C=C,
                     gamma=gamma,
                     class_weight=self.class_weight,
                     tol=self.cv_tol,
                     max_iter=self.cv_max_iter,
-                ),
-                X,
-                y,
-                k=self.k,
-                seed=self.seed,
-                sq_dists=sq,
-            )
+                )
+                models.append(model)
+                return model
+
+            score = cross_val_fscore(make, X, y, k=self.k, seed=self.seed, sq_dists=sq)
+            self.fits += len(models)
+            self.capped_fits += sum(not model.converged_ for model in models)
             configs.append(SvmConfig(C, gamma, score))
+        if self.capped_fits:
+            warnings.warn(
+                f"{self.capped_fits} of {self.fits} cross-validation fits stopped "
+                f"at cv_max_iter={self.cv_max_iter} before reaching cv_tol={self.cv_tol}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         configs.sort(key=lambda c: -c.fscore)
         return configs
 

@@ -1,5 +1,7 @@
 """Tests for the from-scratch ML stack: SVM/SMO, tree, k-NN, CV, metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,21 @@ class TestCrossValidation:
         assert len(configs) == 12
         scores = [c.fscore for c in configs]
         assert scores == sorted(scores, reverse=True)
+
+    def test_grid_search_records_capped_fits(self):
+        X, y = blobs(n_per_class=25, seed=2)
+        gs = GridSearch(grid=[(1e5, 1.0), (1.0, 0.1)], k=3, cv_max_iter=30)
+        with pytest.warns(RuntimeWarning, match="3 of 6 cross-validation fits stopped"):
+            gs.search(X, y)
+        assert (gs.fits, gs.capped_fits) == (6, 3)
+
+    def test_grid_search_converged_does_not_warn(self):
+        X, y = blobs(n_per_class=25, seed=2)
+        gs = GridSearch(grid=paper_grid(4), k=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gs.search(X, y)
+        assert (gs.fits, gs.capped_fits) == (12, 0)
 
     def test_top_configs(self):
         X, y = blobs(n_per_class=25, seed=2)
