@@ -12,8 +12,8 @@ their dynamic cycle counts compared:
 
 Along the way the preservation contract is asserted: golden outputs of
 every variant are bit-identical to the unprotected module's.  The
-numbers are written to ``BENCH_checkelim.json`` at the repo root,
-alongside ``BENCH_campaign.json``.
+numbers are written to ``benchmarks/results/checkelim_overhead.json``,
+next to the text report ``checkelim_overhead.txt``.
 
 The headline finding: tail placement is already near-optimal — strict
 subsumption finds (almost) nothing to remove from it, because path
@@ -42,8 +42,7 @@ from repro.passes import eliminate_redundant_checks
 from repro.protect import DuplicationPass, FullDuplicationSelector
 from repro.workloads import all_workloads
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-OUTPUT = REPO_ROOT / "BENCH_checkelim.json"
+OUTPUT = Path(__file__).resolve().parent / "results" / "checkelim_overhead.json"
 
 
 def golden(module):

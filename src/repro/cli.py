@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    from .faults import Campaign, Outcome
+    from .faults import Outcome
     from .workloads import get_workload
 
     workload = get_workload(args.workload)
@@ -204,11 +204,9 @@ def cmd_inject(args) -> int:
             max_rollbacks=args.max_rollbacks,
             snapshot_period=args.snapshot_period,
         )
-    interp = workload.make_interpreter(args.input, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        budget_factor=workload.budget_factor,
+    campaign = workload.campaign(
+        args.input,
+        module=module,
         recovery=recovery,
         warm_start=args.warm_start,
         snapshot_stride=args.snapshot_stride or None,

@@ -22,10 +22,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..faults.campaign import Campaign, CampaignResult
+from ..faults.campaign import CampaignResult
 from ..faults.outcomes import Outcome
 from ..features.extract import FeatureExtractor
-from ..interp.interpreter import Interpreter
 from ..ir.module import Module
 from ..ml.crossval import GridSearch, SvmConfig, paper_grid
 from ..ml.scaling import StandardScaler
@@ -71,18 +70,10 @@ def collect_data(
     the clean training module carries no checks, so enabling it only
     matters when collecting from an already protected module.
     """
-    module = workload.compile()
-    interp = workload.make_interpreter(input_id=1, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        entry=workload.entry,
-        budget_factor=workload.budget_factor,
-        recovery=recovery,
-    )
+    campaign = workload.campaign(recovery=recovery)
     result = campaign.run(n_samples, seed=seed, n_jobs=n_jobs, supervision=supervision)
-    extractor = FeatureExtractor(module)
-    X = extractor.extract_many([r.instruction for r in result.records])
+    module = campaign.interp.module
+    X = FeatureExtractor(module).extract_many([r.instruction for r in result.records])
     return CollectedData(module, result, X)
 
 

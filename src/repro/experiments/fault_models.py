@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..faults.campaign import Campaign
 from ..faults.models import FAULT_MODELS, get_fault_model
 from ..faults.outcomes import Outcome
 from ..faults.parallel import run_campaign
@@ -46,13 +45,7 @@ def _site_key(inst) -> str:
 
 
 def _run(workload, module, model, trials, seed, n_jobs):
-    interp = workload.make_interpreter(1, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        budget_factor=workload.budget_factor,
-        fault_model=model,
-    )
+    campaign = workload.campaign(module=module, fault_model=model)
     return run_campaign(campaign, trials, seed=seed, n_jobs=n_jobs)
 
 

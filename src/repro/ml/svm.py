@@ -204,6 +204,8 @@ class SVC:
         if self.support_vectors_ is None:
             raise RuntimeError("SVC is not fitted")
         X = np.asarray(X, dtype=np.float64)
+        if not np.isfinite(X).all():
+            raise ValueError("X holds NaN or infinite values")
         if self._constant_class is not None:
             sign = 1.0 if self._constant_class == 1 else -1.0
             return np.full(len(X), sign)

@@ -123,10 +123,7 @@ def build_campaign(spec: Dict):
         from ..protect import FullDuplicationSelector, duplicate_instructions
 
         duplicate_instructions(module, FullDuplicationSelector().select(module))
-    return Campaign(
-        workload.make_interpreter(input_id=spec.get("input", 1), module=module),
-        verifier=workload.verifier(),
-        entry=spec.get("entry", workload.entry),
-        budget_factor=spec.get("budget_factor", workload.budget_factor),
-        recovery=recovery,
+    overrides = {key: spec[key] for key in ("entry", "budget_factor") if key in spec}
+    return workload.campaign(
+        spec.get("input", 1), module=module, recovery=recovery, **overrides
     )

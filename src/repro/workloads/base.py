@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..faults.campaign import OutputVerifier
+from ..faults.campaign import Campaign, OutputVerifier
 from ..frontend import compile_to_ir
 from ..interp.interpreter import Interpreter
 from ..ir.module import Module
@@ -73,6 +73,25 @@ class Workload:
             n_ranks,
             overrides=self.inputs[input_id],
         )
+
+    def campaign(
+        self,
+        input_id: int = 1,
+        module: Optional[Module] = None,
+        **kwargs,
+    ) -> Campaign:
+        """A fault-injection campaign on the chosen input.
+
+        It runs ``entry`` under this workload's verifier and hang budget;
+        ``kwargs`` override those or pass any other ``Campaign`` argument.
+        """
+        options = {
+            "verifier": self.verifier(),
+            "entry": self.entry,
+            "budget_factor": self.budget_factor,
+            **kwargs,
+        }
+        return Campaign(self.make_interpreter(input_id, module=module), **options)
 
     def verifier(self) -> OutputVerifier:
         """The Table-2 verification routine; default: exact output match."""

@@ -132,3 +132,41 @@ class TestFaultModelTableSync:
 
     def test_table_parse_found_models(self):
         assert len(documented_fault_models()) >= 5
+
+
+REPO = Path(__file__).resolve().parent.parent
+FENCED = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
+SPAN = re.compile(r"`([^`\n]+)`")
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:benchmarks|perfbench|tests|src|docs|examples)/[\w./-]*"
+    r"|BENCH_\w+\.json)(?![\w./-])"
+)
+
+
+def documented_paths():
+    """(doc, path) for every repo path in a code span or fenced block of
+    docs/*.md and README.md."""
+    found = []
+    for doc in sorted(REPO.glob("docs/*.md")) + [REPO / "README.md"]:
+        text = doc.read_text()
+        chunks = FENCED.findall(text) + SPAN.findall(FENCED.sub("", text))
+        for chunk in chunks:
+            for match in REPO_PATH.finditer(chunk):
+                found.append((doc.relative_to(REPO).as_posix(), match.group(1)))
+    return found
+
+
+class TestDocPathSync:
+    """Paths the docs quote must exist, so a deleted script or result
+    file cannot stay documented."""
+
+    def test_every_documented_path_exists(self):
+        missing = sorted(
+            (doc, path) for doc, path in documented_paths()
+            if not (REPO / path).exists()
+        )
+        assert not missing, f"docs quote paths that do not exist: {missing}"
+
+    def test_path_parse_found_paths(self):
+        paths = {path for _doc, path in documented_paths()}
+        assert {"benchmarks/bench_check_elim.py", "tests/test_warmstart.py"} <= paths

@@ -231,3 +231,9 @@ def test_non_finite_input_rejected(bad):
     sq[4, 5] = bad
     with pytest.raises(ValueError, match="sq_dists holds NaN or infinite"):
         SVC().fit(X, y, sq_dists=sq)
+    model = SVC().fit(X, y)
+    row = X[:1].copy()
+    row[0, 1] = bad
+    for method in (model.decision_function, model.predict):
+        with pytest.raises(ValueError, match="X holds NaN or infinite"):
+            method(row)

@@ -112,6 +112,19 @@ class TestMpiConsistency:
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
+class TestCampaignConstructor:
+    def test_defaults_and_overrides(self, compiled):
+        workload, module = compiled["fft"]
+        campaign = workload.campaign(2, module=module)
+        assert campaign.interp.module is module
+        assert campaign.interp.global_overrides == workload.inputs[2]
+        assert (campaign.entry, campaign.budget_factor) == ("main", workload.budget_factor)
+        assert type(campaign.verifier) is type(workload.verifier())
+        custom = workload.campaign(module=module, budget_factor=3.0, fault_model="persistent")
+        assert custom.budget_factor == 3.0
+        assert custom.fault_model.spec() == "persistent"
+
+
 class TestFaultSensitivity:
     """Every workload must exhibit the full outcome taxonomy under faults
     — otherwise it cannot train IPAS."""
